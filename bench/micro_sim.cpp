@@ -8,6 +8,7 @@
 #include "bench_util/json.hpp"
 #include "bench_util/sim_speed.hpp"
 #include "bench_util/table.hpp"
+#include "comm/communicator.hpp"
 #include "net/connection.hpp"
 #include "net/fabric.hpp"
 #include "sim/channel.hpp"
@@ -20,7 +21,8 @@
 /// itself run, independent of any model fidelity question? Five workload
 /// shapes stress the distinct hot paths of the calendar queue and timer
 /// pool (see DESIGN.md §12); a sixth compares exact per-chunk NIC pacing
-/// against the batched O(1)-events-per-message mode. Each shape reports
+/// against the batched O(1)-events-per-message mode, and a seventh counts
+/// the kernel events an intra-host ring hop costs. Each shape reports
 /// events (or timer ops) per wall second and wall-clock per simulated
 /// second into BENCH_micro_sim.json.
 ///
@@ -40,6 +42,10 @@
 ///                  many concurrent sleepers across the bucket window.
 ///   paced_transfer 64MiB messages through the NIC/stream pacing model,
 ///                  exact per-chunk mode vs batched_pacing.
+///   loopback_ring  12 communicator ranks on one host passing 64KiB
+///                  messages round a ring. Reports kernel events per message
+///                  (one delivery plus the receiver's wake) and fails above
+///                  3 — a count, so the check does not depend on timing.
 
 namespace {
 
@@ -203,6 +209,34 @@ ShapeResult paced_transfer(bool batched) {
           sim::to_seconds(s.now()), s.events_processed()};
 }
 
+/// Messages passed by loopback_ring (ranks x rounds).
+constexpr int kRingRanks = 12;
+constexpr int kRingRounds = 20'000;
+constexpr std::uint64_t kRingMsgs =
+    static_cast<std::uint64_t>(kRingRanks) * kRingRounds;
+
+ShapeResult loopback_ring() {
+  Simulator s;
+  bench::SimSpeedScope speed(s);
+  net::Fabric fabric(s, net::FabricParams{}, 1);
+  comm::Communicator c(fabric, std::vector<int>(kRingRanks, 0),
+                       net::LinkParams{});
+  auto rank = [](comm::Communicator& cm, int r) -> Task<void> {
+    for (int i = 0; i < kRingRounds; ++i) {
+      net::Message m;
+      m.bytes = 64 * 1024;
+      cm.post(r, cm.next(r), 0, std::move(m));
+      (void)co_await cm.recv(r, cm.prev(r), 0);
+    }
+  };
+  for (int r = 0; r < kRingRanks; ++r) s.spawn(rank(c, r));
+  const auto t0 = Clock::now();
+  s.run();
+  const double w = wall_since(t0);
+  return {"loopback_ring", static_cast<double>(s.events_processed()) / w, w,
+          sim::to_seconds(s.now()), s.events_processed()};
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -223,6 +257,7 @@ int main(int argc, char** argv) {
   results.push_back(fanout());
   results.push_back(paced_transfer(false));
   results.push_back(paced_transfer(true));
+  results.push_back(loopback_ring());
 
   bench::Table t({"shape", "Mops/s", "wall_s", "sim_s", "events",
                   "wall_per_sim_sec"});
@@ -253,21 +288,38 @@ int main(int argc, char** argv) {
               exact_sim, batched_sim,
               exact_sim == batched_sim ? " (identical)" : " (DRIFT)");
 
+  // Kernel events per intra-host hop: the closed-form loopback delivery
+  // plus the receiving rank's wake. The spawn events of the ranks are
+  // included, so the figure sits a hair above 2.
+  const double loopback_events_per_msg =
+      static_cast<double>(results[7].events) / static_cast<double>(kRingMsgs);
+  constexpr double kMaxLoopbackEventsPerMsg = 3.0;
+  std::printf("loopback ring: %.4f kernel events per message (max %.0f)\n",
+              loopback_events_per_msg, kMaxLoopbackEventsPerMsg);
+
   bench::JsonReport report("micro_sim");
   report.set("floor_ops", floor_ops);
+  report.set("loopback_events_per_msg", loopback_events_per_msg);
   report.add_table("results", t);
   report.with_sim_speed().write();
 
   bool ok = true;
   for (const auto& r : results) {
-    // The paced shapes measure model cost, not raw queue speed; the floor
-    // applies to the five queue shapes.
-    if (r.name.rfind("paced", 0) == 0) continue;
+    // The paced and loopback shapes measure model cost, not raw queue
+    // speed; the floor applies to the five queue shapes.
+    if (r.name.rfind("paced", 0) == 0 || r.name == "loopback_ring") continue;
     if (r.ops_per_sec < floor_ops) {
       std::fprintf(stderr, "FAIL: %s at %.0f ops/s below floor %.0f\n",
                    r.name.c_str(), r.ops_per_sec, floor_ops);
       ok = false;
     }
+  }
+  if (loopback_events_per_msg > kMaxLoopbackEventsPerMsg) {
+    std::fprintf(stderr,
+                 "FAIL: loopback ring costs %.4f kernel events per message, "
+                 "above %.0f\n",
+                 loopback_events_per_msg, kMaxLoopbackEventsPerMsg);
+    ok = false;
   }
   if (exact_sim != batched_sim) {
     std::fprintf(stderr,

@@ -127,21 +127,7 @@ class Communicator {
           static_cast<double>(m.bytes), link_.stream_bw);
       ready = io_thread(src, channel).enqueue(cpu) + extra;
     }
-    // FIFO enforcement: a degraded/delayed channel stretches the wire, it
-    // never reorders it. Without the clamp, a message posted after the
-    // fault heals (or simply a smaller message under a byte-proportional
-    // degrade) would overtake one still in flight and the ring would merge
-    // the wrong round's segment.
-    sim::Time& last = last_ready_[conn_key(src, dst, channel)];
-    if (ready < last) ready = last;
-    last = ready;
-    if (!link_.jvm && ready <= simulator().now()) {
-      connection(src, dst, channel).post(std::move(m));
-      return;
-    }
-    auto* conn = &connection(src, dst, channel);
-    simulator().call_at(
-        ready, [conn, m = std::move(m)]() mutable { conn->post(std::move(m)); });
+    connection(src, dst, channel).post_at(ready, std::move(m));
   }
 
   /// Receives the next message sent from `src` to `dst` on `channel`.
@@ -238,9 +224,6 @@ class Communicator {
   int io_cores_;
   std::unordered_map<std::uint64_t, std::unique_ptr<net::Connection>> conns_;
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::FifoServer>> io_;
-  /// Per-(src, dst, channel) latest scheduled hand-off time, enforcing the
-  /// FIFO contract under time-varying post delays.
-  std::unordered_map<std::uint64_t, sim::Time> last_ready_;
 };
 
 }  // namespace sparker::comm

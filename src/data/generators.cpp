@@ -75,6 +75,14 @@ PlantedTopics make_planted_topics(const DatasetPreset& preset, int num_topics,
   return t;
 }
 
+// The inverse-CDF scan below is the hottest loop of corpus generation. On
+// Intel cores whose microcode carries the JCC-erratum fix, a tight loop
+// with a branch across a 32-byte boundary runs about 40% slower, so without
+// a fixed loop alignment the generation time moved with the placement of
+// unrelated code in the binary.
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("align-loops=32")))
+#endif
 std::vector<Document> generate_corpus_partition(const DatasetPreset& preset,
                                                 const PlantedTopics& topics,
                                                 int partition,

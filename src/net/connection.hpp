@@ -45,16 +45,21 @@ struct LinkParams {
   /// per message instead of two or three per chunk. The pacing arithmetic
   /// (stream cap, NIC store-and-forward, departure backpressure) is
   /// identical to the per-chunk path; what coarsens is interleaving: other
-  /// flows and fault-state changes are observed at message granularity
-  /// rather than chunk granularity. Off by default, which keeps the exact
-  /// model (and its bit-identical schedules); turn on for very large
-  /// simulations where per-chunk events dominate kernel time.
+  /// flows are observed at message granularity rather than chunk
+  /// granularity. Off by default, which keeps the exact model (and its
+  /// bit-identical schedules); turn on for very large simulations where
+  /// per-chunk events dominate kernel time.
   bool batched_pacing = false;
 };
 
-/// One unidirectional connection. Messages posted to it are transmitted in
-/// order by an internal pump coroutine and appear in `inbox()` at their
-/// simulated delivery time.
+/// One unidirectional connection. Messages posted to it appear in `inbox()`
+/// in order at their simulated delivery time.
+///
+/// A loopback connection (both ends on one host) involves no NIC, so nothing
+/// can change a hop between its post and its delivery: the delivery time is
+/// a closed form, booked with a single kernel event. A remote connection is
+/// transmitted by an internal pump coroutine that paces every chunk through
+/// the shared NIC servers.
 class Connection {
  public:
   Connection(Fabric& fabric, int src_host, int dst_host, LinkParams params)
@@ -65,15 +70,56 @@ class Connection {
         params_(params),
         outbox_(*sim_),
         inbox_(*sim_),
-        pump_(pump()) {
-    sim_->schedule_now(pump_.handle());
+        pump_(local() ? sim::Task<void>{} : pump()) {
+    if (pump_.valid()) sim_->schedule_now(pump_.handle());
   }
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
-  /// Queues a message for transmission. Never blocks (ZeroMQ-style
+  /// Queues a message for transmission now. Never blocks (ZeroMQ-style
   /// buffered send).
-  void post(Message m) { outbox_.send(std::move(m)); }
+  void post(Message m) { post_at(sim_->now(), std::move(m)); }
+
+  /// Hands a message to the connection at `ready`: the sender's software
+  /// has it ready for the wire then. Messages are delivered in posting order
+  /// whatever their `ready`: a delayed or degraded channel stretches the
+  /// wire, it never reorders it (a message posted after a fault heals, or a
+  /// smaller one under a byte-proportional degrade, would otherwise overtake
+  /// one still in flight and a ring would merge the wrong round's segment).
+  ///
+  /// Loopback: the copy starts once the previous hop is delivered,
+  /// `start = max(ready, free_at)`, and the message arrives at
+  /// `start + send_overhead + intra_latency + bytes / loopback_bw +
+  /// recv_overhead`.
+  void post_at(Time ready, Message m) {
+    ready = std::max({ready, sim_->now(), last_ready_});
+    last_ready_ = ready;
+    if (local()) {
+      const Time start = std::max(ready, free_at_);
+      free_at_ = start + params_.send_overhead +
+                 fabric_->latency(src_host_, dst_host_) +
+                 sim::transfer_time(static_cast<double>(m.bytes),
+                                    fabric_->params().host.loopback_bw) +
+                 params_.recv_overhead;
+      if (obs::TraceSink* tr = fabric_->trace()) {
+        tr->span_at("net", "net.tx", obs::kNetPid, trace_tid(), start,
+                    free_at_,
+                    {{"src", src_host_},
+                     {"dst", dst_host_},
+                     {"bytes", static_cast<std::int64_t>(m.bytes)},
+                     {"channel", m.channel}});
+      }
+      sim_->call_at(free_at_, [this, m = std::move(m)]() mutable {
+        deliver(std::move(m));
+      });
+    } else if (ready == sim_->now()) {
+      outbox_.send(std::move(m));
+    } else {
+      sim_->call_at(ready, [this, m = std::move(m)]() mutable {
+        outbox_.send(std::move(m));
+      });
+    }
+  }
 
   /// Receiver-side delivery queue.
   sim::Channel<Message>& inbox() noexcept { return inbox_; }
@@ -86,29 +132,21 @@ class Connection {
   std::uint64_t bytes_delivered() const noexcept { return bytes_delivered_; }
 
  private:
+  bool local() const noexcept { return src_host_ == dst_host_; }
+
   // Each directed host link gets its own track under the network
   // pseudo-process.
   int trace_tid() const noexcept { return src_host_ * 256 + dst_host_; }
+
+  void deliver(Message m) {
+    bytes_delivered_ += m.bytes;
+    inbox_.send(std::move(m));
+  }
 
   sim::Task<void> pump() {
     for (;;) {
       Message m = co_await outbox_.recv();
       obs::TraceSink* tr = fabric_->trace();
-      // Host-level faults: a dead host or severed host link silently loses
-      // the message — like a real TCP connection, loss surfaces at the
-      // receiver as a hung recv (timeout), not as a sender error.
-      FaultFabric& faults = fabric_->faults();
-      if (!faults.host_alive(src_host_) || !faults.host_alive(dst_host_) ||
-          !faults.host_link_up(src_host_, dst_host_)) {
-        if (tr) {
-          tr->instant("net", "net.drop", obs::kNetPid, trace_tid(),
-                      {{"src", src_host_},
-                       {"dst", dst_host_},
-                       {"bytes", static_cast<std::int64_t>(m.bytes)},
-                       {"channel", m.channel}});
-        }
-        continue;
-      }
       const obs::SpanId span =
           tr ? tr->begin("net", "net.tx", obs::kNetPid, trace_tid(),
                          {{"src", src_host_},
@@ -116,32 +154,17 @@ class Connection {
                           {"bytes", static_cast<std::int64_t>(m.bytes)},
                           {"channel", m.channel}})
              : obs::kNoSpan;
-      co_await transmit(m);
+      co_await sim_->sleep(params_.send_overhead);
+      co_await transmit(m, fabric_->latency(src_host_, dst_host_));
+      co_await sim_->sleep(params_.recv_overhead);
       if (tr) tr->end(span);
-      bytes_delivered_ += m.bytes;
-      inbox_.send(std::move(m));
+      deliver(std::move(m));
     }
   }
 
-  sim::Task<void> transmit(const Message& m) {
-    co_await sim_->sleep(params_.send_overhead);
-    const bool local = (src_host_ == dst_host_);
-    const Duration lat = fabric_->latency(src_host_, dst_host_) +
-                         fabric_->faults().host_link_delay(src_host_, dst_host_);
-    if (local) {
-      // Loopback: no NIC, no stream cap; rate-limited by memory copies.
-      co_await sim_->sleep(
-          lat + sim::transfer_time(static_cast<double>(m.bytes),
-                                   fabric_->params().host.loopback_bw));
-    } else {
-      co_await transmit_remote(m, lat);
-    }
-    co_await sim_->sleep(params_.recv_overhead);
-  }
-
-  sim::Task<void> transmit_remote(const Message& m, Duration lat) {
+  sim::Task<void> transmit(const Message& m, Duration lat) {
     if (params_.batched_pacing) {
-      co_await sim_->sleep_until(transmit_remote_batched(m, lat));
+      co_await sim_->sleep_until(transmit_batched(m, lat));
       if (params_.jvm) {
         fabric_->charge_jvm_bytes(dst_host_, static_cast<double>(m.bytes));
       }
@@ -159,16 +182,10 @@ class Connection {
     do {
       const std::uint64_t chunk = std::min<std::uint64_t>(remaining, chunk_size);
       // Pace to the stream's rate cap: a chunk may not be injected earlier
-      // than one stream service time after the previous injection. A
-      // degraded host link stretches the stream service time.
-      const double degrade =
-          fabric_->faults().host_degrade(src_host_, dst_host_);
-      const Duration stream_t = static_cast<Duration>(
-          static_cast<double>(
-              params_.per_chunk_cpu +
-              sim::transfer_time(static_cast<double>(chunk),
-                                 params_.stream_bw)) *
-          (degrade < 1.0 ? 1.0 : degrade));
+      // than one stream service time after the previous injection.
+      const Duration stream_t =
+          params_.per_chunk_cpu +
+          sim::transfer_time(static_cast<double>(chunk), params_.stream_bw);
       if (stream_next_ > sim_->now()) {
         co_await sim_->sleep_until(stream_next_);
       }
@@ -198,13 +215,11 @@ class Connection {
   /// delivery time of the last chunk. O(chunks) work but O(1) simulator
   /// events; each injection still waits for the later of the stream-pacing
   /// slot and the previous chunk's NIC departure (the backpressure rule of
-  /// the exact path). Degradation is sampled once per message.
-  Time transmit_remote_batched(const Message& m, Duration lat) {
+  /// the exact path).
+  Time transmit_batched(const Message& m, Duration lat) {
     Host& src = fabric_->host(src_host_);
     Host& dst = fabric_->host(dst_host_);
     const double nic_bw = fabric_->params().host.nic_bw;
-    const double degrade = std::max(
-        1.0, fabric_->faults().host_degrade(src_host_, dst_host_));
     Time cursor = sim_->now();
     Time last_delivery = cursor + lat;
     std::uint64_t remaining = m.bytes;
@@ -213,12 +228,9 @@ class Connection {
         m.bytes / std::max<std::size_t>(1, params_.max_chunks_per_msg));
     do {
       const std::uint64_t chunk = std::min<std::uint64_t>(remaining, chunk_size);
-      const Duration stream_t = static_cast<Duration>(
-          static_cast<double>(
-              params_.per_chunk_cpu +
-              sim::transfer_time(static_cast<double>(chunk),
-                                 params_.stream_bw)) *
-          degrade);
+      const Duration stream_t =
+          params_.per_chunk_cpu +
+          sim::transfer_time(static_cast<double>(chunk), params_.stream_bw);
       const Time inject = std::max(cursor, stream_next_);
       stream_next_ = inject + stream_t;
       const Duration nic_t =
@@ -240,11 +252,14 @@ class Connection {
   int dst_host_;
   LinkParams params_;
   Time stream_next_ = 0;
+  Time last_ready_ = 0;  ///< latest hand-off time (FIFO clamp).
+  Time free_at_ = 0;     ///< loopback: delivery time of the last posted hop.
   std::uint64_t bytes_delivered_ = 0;
   sim::Channel<Message> outbox_;
   sim::Channel<Message> inbox_;
-  sim::Task<void> pump_;  // declared last: destroyed first (it waits on
-                          // outbox_, whose waiter list refers into its frame)
+  sim::Task<void> pump_;  // remote only. Declared last: destroyed first (it
+                          // waits on outbox_, whose waiter list refers into
+                          // its frame)
 };
 
 }  // namespace sparker::net

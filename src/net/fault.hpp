@@ -22,9 +22,11 @@
 ///    In-Memory Merge handles with *stage-level* retry (Section 3.2).
 ///  * **channel faults** — one directed message channel between two nodes
 ///    (optionally one specific parallel ring channel) is severed, degraded,
-///    or given extra delay, possibly healing after a while. Host-level link
-///    faults (consulted by net::Connection) model NIC/switch trouble shared
-///    by every flow between two hosts.
+///    or given extra delay, possibly healing after a while.
+///
+/// Both are evaluated when a message is posted (comm::Communicator::post),
+/// never while it is in flight; net::Connection consults no fault state.
+/// A fault-free fabric answers every query without a hash lookup.
 ///
 /// All fault times are scheduled on the discrete-event simulator and all
 /// randomized schedules draw from the fabric's own splittable RNG
@@ -69,7 +71,9 @@ class FaultFabric {
   void kill_node_at(Time t, int node) {
     sim_->call_at(t, [this, node] { kill_node(node); });
   }
-  bool node_alive(int node) const { return dead_nodes_.count(node) == 0; }
+  bool node_alive(int node) const {
+    return dead_nodes_.empty() || dead_nodes_.count(node) == 0;
+  }
   std::size_t dead_node_count() const { return dead_nodes_.size(); }
 
   /// Simulated time a node died, or kNever if it is still alive. The health
@@ -135,8 +139,8 @@ class FaultFabric {
     });
   }
   bool channel_up(int src, int dst, int channel) const {
-    return !severed(channels_, chan_key(src, dst, channel)) &&
-           !severed(channels_, chan_key(src, dst, -1));
+    return !severed(chan_key(src, dst, channel)) &&
+           !severed(chan_key(src, dst, -1));
   }
 
   void delay_channel(int src, int dst, int channel, Duration extra,
@@ -153,8 +157,8 @@ class FaultFabric {
     });
   }
   Duration channel_delay(int src, int dst, int channel) const {
-    return delay_of(channels_, chan_key(src, dst, channel)) +
-           delay_of(channels_, chan_key(src, dst, -1));
+    return delay_of(chan_key(src, dst, channel)) +
+           delay_of(chan_key(src, dst, -1));
   }
 
   /// Multiplies the per-message stream service time of a channel by
@@ -173,48 +177,8 @@ class FaultFabric {
     });
   }
   double channel_degrade(int src, int dst, int channel) const {
-    return degrade_of(channels_, chan_key(src, dst, channel)) *
-           degrade_of(channels_, chan_key(src, dst, -1));
-  }
-
-  // ---- host-level link faults (consulted by net::Connection) --------------
-  // These affect every connection between two hosts (both the scalable
-  // communicator's channels and BlockManager traffic).
-
-  void kill_host(int host) { dead_hosts_.insert(host); }
-  void kill_host_at(Time t, int host) {
-    sim_->call_at(t, [this, host] { kill_host(host); });
-  }
-  bool host_alive(int host) const { return dead_hosts_.count(host) == 0; }
-
-  void sever_host_link(int a, int b, Time heal_at = kNever) {
-    hosts_[host_key(a, b)].severed_until = heal_at;
-  }
-  void sever_host_link_at(Time t, int a, int b, Duration heal_after = 0) {
-    sim_->call_at(t, [this, t, a, b, heal_after] {
-      sever_host_link(a, b, heal_after > 0 ? t + heal_after : kNever);
-    });
-  }
-  bool host_link_up(int a, int b) const {
-    return !severed(hosts_, host_key(a, b));
-  }
-
-  void degrade_host_link(int a, int b, double factor, Time until = kNever) {
-    auto& f = hosts_[host_key(a, b)];
-    f.degrade = factor;
-    f.degrade_until = until;
-  }
-  double host_degrade(int a, int b) const {
-    return degrade_of(hosts_, host_key(a, b));
-  }
-
-  void delay_host_link(int a, int b, Duration extra, Time until = kNever) {
-    auto& f = hosts_[host_key(a, b)];
-    f.extra_delay = extra;
-    f.delay_until = until;
-  }
-  Duration host_link_delay(int a, int b) const {
-    return delay_of(hosts_, host_key(a, b));
+    return degrade_of(chan_key(src, dst, channel)) *
+           degrade_of(chan_key(src, dst, -1));
   }
 
   /// Heals every link fault and forgets every death (fresh schedule between
@@ -222,9 +186,7 @@ class FaultFabric {
   void reset() {
     dead_nodes_.clear();
     death_times_.clear();
-    dead_hosts_.clear();
     channels_.clear();
-    hosts_.clear();
     pending_join_.clear();
   }
 
@@ -236,7 +198,6 @@ class FaultFabric {
     double degrade = 1.0;
     Time degrade_until = 0;
   };
-  using FaultMap = std::unordered_map<std::uint64_t, LinkFault>;
 
   static std::uint64_t chan_key(int src, int dst, int channel) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src + 1))
@@ -245,24 +206,26 @@ class FaultFabric {
             << 16) |
            static_cast<std::uint64_t>(static_cast<std::uint16_t>(channel + 1));
   }
-  static std::uint64_t host_key(int a, int b) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a + 1))
-            << 32) |
-           static_cast<std::uint64_t>(static_cast<std::uint32_t>(b + 1));
-  }
 
-  bool severed(const FaultMap& m, std::uint64_t key) const {
-    auto it = m.find(key);
-    return it != m.end() && sim_->now() < it->second.severed_until;
+  bool severed(std::uint64_t key) const {
+    if (channels_.empty()) return false;
+    auto it = channels_.find(key);
+    return it != channels_.end() && sim_->now() < it->second.severed_until;
   }
-  Duration delay_of(const FaultMap& m, std::uint64_t key) const {
-    auto it = m.find(key);
-    if (it == m.end() || sim_->now() >= it->second.delay_until) return 0;
+  Duration delay_of(std::uint64_t key) const {
+    if (channels_.empty()) return 0;
+    auto it = channels_.find(key);
+    if (it == channels_.end() || sim_->now() >= it->second.delay_until) {
+      return 0;
+    }
     return it->second.extra_delay;
   }
-  double degrade_of(const FaultMap& m, std::uint64_t key) const {
-    auto it = m.find(key);
-    if (it == m.end() || sim_->now() >= it->second.degrade_until) return 1.0;
+  double degrade_of(std::uint64_t key) const {
+    if (channels_.empty()) return 1.0;
+    auto it = channels_.find(key);
+    if (it == channels_.end() || sim_->now() >= it->second.degrade_until) {
+      return 1.0;
+    }
     return it->second.degrade;
   }
 
@@ -270,11 +233,10 @@ class FaultFabric {
   sim::Rng rng_;
   std::unordered_set<int> dead_nodes_;
   std::unordered_map<int, Time> death_times_;
-  std::unordered_set<int> dead_hosts_;
   std::unordered_set<int> pending_join_;  ///< declared but not yet arrived.
   MembershipListener membership_listener_;
-  FaultMap channels_;  ///< keyed by (src node, dst node, channel).
-  FaultMap hosts_;     ///< keyed by (src host, dst host).
+  /// Keyed by (src node, dst node, channel).
+  std::unordered_map<std::uint64_t, LinkFault> channels_;
 };
 
 }  // namespace sparker::net

@@ -158,6 +158,119 @@ TEST(Connection, LoopbackBypassesNicAndIsFast) {
   EXPECT_EQ(fabric.host(0).ingress.jobs(), 0u);
 }
 
+// One loopback hop in closed form: send overhead, intra-host latency, the
+// memory copy, receive overhead.
+Duration loopback_hop(const FabricParams& p, const LinkParams& l,
+                      std::uint64_t bytes) {
+  return l.send_overhead + p.intra_latency +
+         sim::transfer_time(static_cast<double>(bytes), p.host.loopback_bw) +
+         l.recv_overhead;
+}
+
+// Drains `n` messages from a connection, recording each delivery time.
+Task<std::vector<Time>> delivery_times(Connection& c, Simulator& s, int n) {
+  std::vector<Time> at;
+  for (int i = 0; i < n; ++i) {
+    (void)co_await c.inbox().recv();
+    at.push_back(s.now());
+  }
+  co_return at;
+}
+
+TEST(Connection, LoopbackBurstIsDeliveredInClosedForm) {
+  constexpr int kMsgs = 16;
+  constexpr std::uint64_t kBytes = 1 << 20;
+  Simulator sim;
+  Fabric fabric(sim, quiet_fabric(), 2);
+  Connection local(fabric, 0, 0, plain_link());
+  for (int i = 0; i < kMsgs; ++i) {
+    Message m;
+    m.tag = i;
+    m.bytes = kBytes;
+    local.post(m);
+  }
+  const auto at = sim.run_task(delivery_times(local, sim, kMsgs));
+  const Duration hop = loopback_hop(quiet_fabric(), plain_link(), kBytes);
+  for (int k = 0; k < kMsgs; ++k) {
+    EXPECT_EQ(at[static_cast<std::size_t>(k)], (k + 1) * hop) << "hop " << k;
+  }
+  EXPECT_EQ(local.bytes_delivered(), kMsgs * kBytes);
+}
+
+TEST(Connection, LoopbackBurstCostsOneKernelEventPerMessage) {
+  // No receiver is parked on the inbox, so every kernel event the run
+  // processes belongs to the connection itself.
+  constexpr int kMsgs = 64;
+  Simulator sim;
+  Fabric fabric(sim, quiet_fabric(), 1);
+  Connection local(fabric, 0, 0, plain_link());
+  for (int i = 0; i < kMsgs; ++i) {
+    Message m;
+    m.bytes = 4096 * static_cast<std::uint64_t>(i + 1);
+    local.post(m);
+  }
+  EXPECT_EQ(sim.run(), static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(local.inbox().size(), static_cast<std::size_t>(kMsgs));
+}
+
+TEST(Connection, LoopbackFutureReadyQueuesFifoBehindEarlierHops) {
+  Simulator sim;
+  Fabric fabric(sim, quiet_fabric(), 1);
+  Connection local(fabric, 0, 0, plain_link());
+  const Duration hop = loopback_hop(quiet_fabric(), plain_link(), 0);
+  Message m;
+  m.tag = 0;
+  local.post(m);                   // copies over [0, hop]
+  m.tag = 1;
+  local.post_at(hop / 2, m);       // ready while tag 0 is in flight
+  m.tag = 2;
+  local.post_at(10 * hop, m);      // the link is idle again by then
+  m.tag = 3;
+  local.post_at(hop, m);           // ready earlier than tag 2: stays behind
+  auto recv_all = [](Connection& c,
+                     Simulator& s) -> Task<std::vector<std::pair<int, Time>>> {
+    std::vector<std::pair<int, Time>> got;
+    for (int i = 0; i < 4; ++i) {
+      Message r = co_await c.inbox().recv();
+      got.emplace_back(r.tag, s.now());
+    }
+    co_return got;
+  };
+  const auto got = sim.run_task(recv_all(local, sim));
+  const std::vector<std::pair<int, Time>> want = {
+      {0, hop}, {1, 2 * hop}, {2, 11 * hop}, {3, 12 * hop}};
+  EXPECT_EQ(got, want);
+}
+
+TEST(Connection, RemoteFlowsOnTheNicDoNotDelayLoopback) {
+  // Two paced remote flows saturate host 0's egress while a loopback burst
+  // runs on the same host: loopback never touches the NIC servers.
+  constexpr int kMsgs = 8;
+  constexpr std::uint64_t kBytes = 256 * 1024;
+  Simulator sim;
+  Fabric fabric(sim, quiet_fabric(), 2);
+  Connection out_a(fabric, 0, 1, plain_link());
+  Connection out_b(fabric, 0, 1, plain_link());
+  Connection local(fabric, 0, 0, plain_link());
+  Message big;
+  big.bytes = 16ull << 20;
+  out_a.post(big);
+  out_b.post(big);
+  for (int i = 0; i < kMsgs; ++i) {
+    Message m;
+    m.bytes = kBytes;
+    local.post(m);
+  }
+  const auto at = sim.run_task(delivery_times(local, sim, kMsgs));
+  const Duration hop = loopback_hop(quiet_fabric(), plain_link(), kBytes);
+  for (int k = 0; k < kMsgs; ++k) {
+    EXPECT_EQ(at[static_cast<std::size_t>(k)], (k + 1) * hop) << "hop " << k;
+  }
+  sim.run();
+  EXPECT_EQ(out_a.bytes_delivered() + out_b.bytes_delivered(), 2 * big.bytes);
+  EXPECT_GT(sim.now(), at.back());  // the remote flows really overlapped
+}
+
 TEST(Connection, MessagesOnOneConnectionAreFifo) {
   Simulator sim;
   Fabric fabric(sim, quiet_fabric(), 2);

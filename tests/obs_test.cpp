@@ -15,6 +15,10 @@
 //   * agreement — trace-derived phase/recovery/speculation numbers equal
 //     the engine's ad-hoc accounting exactly, and the MetricsRegistry
 //     absorbs the per-job AggMetrics fields.
+//
+// A ring with intra-host hops checks that closed-form loopback delivery
+// keeps traced and untraced runs on the same kernel events, and that its
+// net.tx spans and flame report match the per-message pump model's.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "engine/aggregate.hpp"
@@ -534,6 +539,127 @@ TEST(ObsEngine, TracesAreDeterministicPerAlgorithm) {
     EXPECT_EQ(a.trace_json, b.trace_json) << comm::to_string(algo);
     EXPECT_EQ(a.metrics_json, b.metrics_json) << comm::to_string(algo);
   }
+}
+
+// ===========================================================================
+// Intra-host ring hops: closed-form loopback delivery, traced and untraced
+// ===========================================================================
+
+struct LoopbackRun {
+  Vec value;
+  sim::Time end_time = 0;
+  engine::AggMetrics stats;
+  std::uint64_t events = 0;
+  std::string metrics_json;
+  obs::SinkLintResult lint;
+  obs::FileLintResult file_lint;
+  obs::FlameReport flame;
+  std::vector<obs::TraceEvent> loopback_tx;  ///< net.tx spans, src == dst.
+  net::ClusterSpec spec;
+};
+
+// Two nodes of three executors: with the topology-aware ring, two of every
+// three ring hops stay on one host.
+LoopbackRun run_loopback_ring(bool traced) {
+  engine::EngineConfig cfg;
+  cfg.agg_mode = engine::AggMode::kSplit;
+  cfg.sai_parallelism = 2;
+  cfg.trace.enabled = traced;
+  Simulator simulator;
+  LoopbackRun out;
+  out.spec = net::ClusterSpec::bic(2);
+  out.spec.executors_per_node = 3;
+  out.spec.cores_per_executor = 2;
+  out.spec.fabric.gc.enabled = false;
+  engine::Cluster cluster(simulator, out.spec, cfg);
+  engine::CachedRdd<std::int64_t> rdd(
+      12, cluster.num_executors(), [](int pid) {
+        Vec rows(kRows);
+        for (int i = 0; i < kRows; ++i) {
+          rows[static_cast<std::size_t>(i)] = pid * 100 + i;
+        }
+        return rows;
+      });
+  auto spec_agg = split_spec();
+  auto job = [&]() -> Task<Vec> {
+    co_return co_await engine::split_aggregate(cluster, rdd, spec_agg,
+                                               &out.stats);
+  };
+  out.value = simulator.run_task(job());
+  out.end_time = simulator.now();
+  out.events = simulator.events_processed();
+  out.metrics_json = cluster.metrics().to_json();
+  const obs::TraceSink& sink = cluster.trace();
+  out.lint = obs::lint(sink);
+  out.file_lint = obs::lint_chrome_trace_text(obs::chrome_trace_json(sink));
+  out.flame = obs::flame_report(sink);
+  for (const obs::TraceEvent& ev : sink.events()) {
+    if (std::strcmp(ev.name, "net.tx") == 0 &&
+        ev.arg("src") == ev.arg("dst")) {
+      out.loopback_tx.push_back(ev);
+    }
+  }
+  return out;
+}
+
+TEST(ObsEngine, LoopbackHopsAreTracedWithoutPerturbingTheRun) {
+  const LoopbackRun on = run_loopback_ring(/*traced=*/true);
+  const LoopbackRun off = run_loopback_ring(/*traced=*/false);
+  EXPECT_EQ(on.value, off.value);
+  EXPECT_EQ(on.end_time, off.end_time);
+  EXPECT_EQ(on.stats.compute_done, off.stats.compute_done);
+  EXPECT_EQ(on.stats.end, off.stats.end);
+  EXPECT_EQ(on.metrics_json, off.metrics_json);
+  // Tracing schedules nothing: both runs process the same kernel events.
+  EXPECT_EQ(on.events, off.events);
+  EXPECT_TRUE(off.loopback_tx.empty());
+}
+
+TEST(ObsEngine, LoopbackTxSpansCoverPostToDelivery) {
+  const LoopbackRun r = run_loopback_ring(/*traced=*/true);
+  EXPECT_TRUE(r.lint.ok());
+  EXPECT_TRUE(r.file_lint.ok()) << r.file_lint.error;
+  ASSERT_FALSE(r.loopback_tx.empty());
+  const net::FabricParams& fp = r.spec.fabric;
+  const net::LinkParams& link = r.spec.sc_link;
+  // Every hop lasts exactly the closed form.
+  sim::Time ts_sum = 0;
+  sim::Time end_sum = 0;
+  for (const obs::TraceEvent& ev : r.loopback_tx) {
+    const auto bytes = static_cast<double>(ev.arg("bytes"));
+    EXPECT_EQ(ev.duration(),
+              link.send_overhead + fp.intra_latency +
+                  sim::transfer_time(bytes, fp.host.loopback_bw) +
+                  link.recv_overhead);
+    ts_sum += ev.ts;
+    end_sum += ev.end;
+  }
+  // The spans a coroutine pump sleeping through each hop recorded for this
+  // run: the closed form starts and ends every hop at the same instants.
+  EXPECT_EQ(r.loopback_tx.size(), 40u);
+  EXPECT_EQ(ts_sum, 11301290675u);
+  EXPECT_EQ(end_sum, 11304687219u);
+}
+
+TEST(ObsEngine, LoopbackFlameReportIsUnchanged) {
+  // Golden values recorded with the per-message pump model of loopback
+  // hops; the closed form must reproduce them to the nanosecond.
+  const LoopbackRun r = run_loopback_ring(/*traced=*/true);
+  EXPECT_EQ(r.end_time, 296377393u);
+  EXPECT_EQ(r.flame.window_start, 0u);
+  EXPECT_EQ(r.flame.window_end, 296377393u);
+  std::vector<std::tuple<int, sim::Duration, sim::Duration, sim::Duration>>
+      got;
+  for (const obs::ExecutorTimeline& tl : r.flame.executors) {
+    got.emplace_back(tl.executor, tl.busy, tl.blocked, tl.idle);
+  }
+  const decltype(got) want = {{0, 39810802, 26560260, 230006331},
+                              {1, 43765188, 15298484, 237313721},
+                              {2, 47821724, 22582300, 225973369},
+                              {3, 51699652, 11451596, 233226145},
+                              {4, 55756188, 18735412, 221885793},
+                              {5, 59863492, 5935498, 230578403}};
+  EXPECT_EQ(got, want);
 }
 
 TEST(ObsEngine, RegistryAbsorbsJobMetrics) {
