@@ -33,6 +33,10 @@
 ///    reduce-scatter over the scalable communicator, then a driver-side
 ///    collect + concatOp.
 ///
+/// Both tree variants run one compute stage (detail::compute_stage) that
+/// differs only in how a finished task ends; split_aggregate and
+/// split_allreduce share one attempt loop (detail::split_job).
+///
 /// All paths execute the *real* user callbacks over real data; only time is
 /// modeled. `bytes` callbacks return the modeled (paper-scale) wire size.
 
@@ -69,8 +73,8 @@ struct SplitAggSpec {
   // compressed ring (comm::AlgoId::kSparseRing) against the dense
   // algorithms, and when the sparse ring is dispatched the stage re-encodes
   // each freshly split segment density-optimally. The sparse path runs
-  // inside the same stage loops, so it inherits fault retry, membership
-  // boundaries and residual refold unchanged.
+  // inside the same attempt loop (detail::split_job), so it inherits fault
+  // retry, membership boundaries and residual refold unchanged.
   /// Estimated nonzero fraction of an aggregator (the tuner's density
   /// input). Absent: density 1.0, which keeps kSparseRing dominated.
   std::function<double(const U&)> density_op;
@@ -178,51 +182,35 @@ inline constexpr std::uint64_t kDirectResultLimit = 1ull << 20;
 /// retry count so fault plans keyed on attempt numbers stay inert for them.
 inline constexpr int kSpeculativeAttempt = 1 << 20;
 
-/// Modeled size of the aggregator a split-stage collective will move: the
-/// first stage-1 value present (every executor's aggregator shares the
-/// spec's shape), or the zero aggregator when no partition produced one.
-/// Deterministic, so every stage attempt feeds the tuner the same bytes.
+/// The aggregator a split-stage collective's cost is sampled from (its
+/// modeled bytes and density feed the tuner): the first stage-1 value
+/// present — every executor's aggregator shares the spec's shape — or the
+/// zero aggregator when no partition produced one. Deterministic, so every
+/// stage attempt feeds the tuner the same inputs.
 template <typename T, typename U, typename V>
-std::uint64_t aggregator_bytes(
-    const SplitAggSpec<T, U, V>& spec,
-    const std::vector<std::shared_ptr<U>>& per_exec) {
+const U& sample_aggregator(const SplitAggSpec<T, U, V>& spec,
+                           const std::vector<std::shared_ptr<U>>& per_exec) {
   for (const auto& v : per_exec) {
-    if (v) return spec.base.bytes(*v);
+    if (v) return *v;
   }
-  return spec.base.bytes(spec.base.zero);
-}
-
-/// Estimated aggregator density for the tuner, sampled the same way as
-/// aggregator_bytes (first stage-1 value present; the zero aggregator only
-/// when no partition produced one). 1.0 without a density_op — the dense
-/// specs never price the sparse ring as a win.
-template <typename T, typename U, typename V>
-double aggregator_density(const SplitAggSpec<T, U, V>& spec,
-                          const std::vector<std::shared_ptr<U>>& per_exec) {
-  if (!spec.density_op) return 1.0;
-  for (const auto& v : per_exec) {
-    if (v) return spec.density_op(*v);
-  }
-  return spec.density_op(spec.base.zero);
+  return spec.base.zero;
 }
 
 /// Builds the SegOps a split-stage collective runs over, wiring in the
-/// compression hooks when `algo` is the sparse ring: split re-encodes each
-/// segment density-optimally, and reduce_into probes the representation
-/// around each merge so dense<->sparse flips land in the trace as
-/// "comp.switch" instants (fill-in growing past the byte crossover is
-/// exactly when they fire). Because the representation lives inside V,
-/// v_bytes already reports the compressed size — hop transport and merge
-/// sleeps get cheaper with no further plumbing.
+/// compression hooks when the attempt is `encoded` (sparse ring with an
+/// encode_op): split re-encodes each segment density-optimally, and
+/// reduce_into probes the representation around each merge so
+/// dense<->sparse flips land in the trace as "comp.switch" instants
+/// (fill-in growing past the byte crossover is exactly when they fire).
+/// Because the representation lives inside V, v_bytes already reports the
+/// compressed size — hop transport and merge sleeps get cheaper with no
+/// further plumbing.
 template <typename T, typename U, typename V>
-comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
-                             int exec_id, int rank,
-                             const SplitAggSpec<T, U, V>& spec,
+comm::SegOps<V> make_seg_ops(Cluster& cl, int job, bool encoded, int exec_id,
+                             int rank, const SplitAggSpec<T, U, V>& spec,
                              const std::shared_ptr<U>& local) {
-  const bool comp_on =
-      algo == comm::AlgoId::kSparseRing && static_cast<bool>(spec.encode_op);
   comm::SegOps<V> ops;
-  if (comp_on) {
+  if (encoded) {
     ops.split = [&spec, &local](int seg, int nseg) {
       return spec.encode_op(spec.split_op(*local, seg, nseg));
     };
@@ -231,7 +219,7 @@ comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
       return spec.split_op(*local, seg, nseg);
     };
   }
-  if (comp_on && spec.is_sparse_op) {
+  if (encoded && spec.is_sparse_op) {
     ops.reduce_into = [&cl, &spec, job, exec_id, rank](V& a, const V& b) {
       const bool was = spec.is_sparse_op(a);
       spec.reduce_op(a, b);
@@ -245,29 +233,21 @@ comm::SegOps<V> make_seg_ops(Cluster& cl, int job, comm::AlgoId algo,
     ops.reduce_into = spec.reduce_op;
   }
   ops.bytes = spec.v_bytes;
+  ops.concat = spec.concat_op;
   ops.merge_time = [&cl](std::uint64_t b) { return cl.merge_cost(b); };
   return ops;
 }
 
-/// The encode pass of the sparse ring: one streaming scan over the local
-/// aggregator gathering nonzeros into index+value segments, priced at the
-/// codec scan bandwidth and attributed to the "comp" trace category
-/// (fig02-style breakdowns report it in its own column). The scan emits the
-/// P*N encoded segments directly, so it subsumes the dense split pass —
-/// callers run this *instead of* the split sleep when compression is on.
-/// No-op on dense dispatches.
-template <typename T, typename U, typename V>
-sim::Task<void> comp_encode_pass(Cluster& cl, int job, comm::AlgoId algo,
-                                 int exec_id, int rank,
-                                 const SplitAggSpec<T, U, V>& spec,
-                                 const U& local) {
-  if (algo != comm::AlgoId::kSparseRing || !spec.encode_op) co_return;
-  const std::uint64_t bytes = spec.base.bytes(local);
-  const obs::SpanId span = cl.trace().begin(
-      "comp", "comp.encode", obs::exec_pid(exec_id), rank,
-      {{"job", job}, {"bytes", static_cast<std::int64_t>(bytes)}});
-  co_await cl.simulator().sleep(cl.codec_cost(bytes));
-  cl.trace().end(span);
+/// First executor at or after `preferred`, in cyclic order, that `ok`
+/// accepts; -1 if none does.
+template <typename Ok>
+int scan_executors(Cluster& cl, int preferred, Ok ok) {
+  const int n = cl.num_executors();
+  for (int i = 0; i < n; ++i) {
+    const int cand = (preferred + i) % n;
+    if (ok(cand)) return cand;
+  }
+  return -1;
 }
 
 /// Picks the executor a task actually runs on: the preferred one, or — if
@@ -278,30 +258,27 @@ sim::Task<void> comp_encode_pass(Cluster& cl, int job, comm::AlgoId algo,
 /// executor still gets tasks, which then fail and retry — detection latency
 /// costs real simulated time, as it does in Spark.
 inline int schedule_executor(Cluster& cl, int preferred) {
-  if (cl.executor_usable(preferred)) return preferred;
-  const int n = cl.num_executors();
-  for (int i = 1; i < n; ++i) {
-    const int cand = (preferred + i) % n;
-    if (cl.executor_usable(cand)) return cand;
-  }
-  throw std::runtime_error("no usable executor to schedule task on");
+  const int e = scan_executors(
+      cl, preferred, [&cl](int c) { return cl.executor_usable(c); });
+  if (e < 0) throw std::runtime_error("no usable executor to schedule task on");
+  return e;
 }
 
 /// Dispatch + control hop + core slot + task setup, then the real seqOp
 /// fold over the partition. Throws TaskFailed per the fault plan, or when
 /// the fault fabric kills the executor before the task result is reported
 /// (that check is deliberately omniscient: a lost result is a physical
-/// fact, not a belief). If `ran_on` is non-null it receives the executor
-/// the task ran on; `force_exec >= 0` pins the attempt to one executor
-/// (speculative duplicates bypass locality preference).
+/// fact, not a belief). `ran_on` receives the executor the task runs on as
+/// soon as it is placed; `force_exec >= 0` pins the attempt to one executor
+/// (speculative duplicates and eager refolds bypass locality preference).
 template <typename T, typename U>
 sim::Task<U> compute_attempt(Cluster& cl, CachedRdd<T>& rdd,
                              const TreeAggSpec<T, U>& spec, TaskId id,
-                             int* ran_on = nullptr, int force_exec = -1) {
+                             int* ran_on, int force_exec = -1) {
   const int exec_id =
       force_exec >= 0 ? force_exec
                       : schedule_executor(cl, rdd.preferred_executor(id.task));
-  if (ran_on) *ran_on = exec_id;
+  *ran_on = exec_id;
   Executor& ex = cl.executor(exec_id);
   obs::TraceSink& tr = cl.trace();
   const Time attempt_start = cl.simulator().now();
@@ -339,49 +316,45 @@ sim::Task<U> compute_attempt(Cluster& cl, CachedRdd<T>& rdd,
   co_return agg;
 }
 
-/// Task-level retry loop (vanilla Spark semantics: failed tasks rerun
-/// individually). `stage` distinguishes recomputation of lost partials
-/// (stage 1) from the original compute stage for FaultPlan rules.
+/// One attempt of a compute stage, shared_ptr-owned by every task attempt it
+/// spawns and by its speculation tick. *Losing* speculative attempts can
+/// outlive the stage's coroutine frame — a loser resumes from its final
+/// sleep after the stage has moved on — so all they touch lives here. The
+/// references are job-lifetime: the job drains `attempts` before its frame
+/// dies. The first attempt to `claim` a task wins it; everyone else drops
+/// out.
 template <typename T, typename U>
-sim::Task<U> compute_with_retry(Cluster& cl, CachedRdd<T>& rdd,
-                                const TreeAggSpec<T, U>& spec, int job,
-                                int task, AggMetrics* m, int stage = 0,
-                                int* ran_on = nullptr) {
-  for (int attempt = 0;; ++attempt) {
-    int exec = -1;
-    try {
-      U out = co_await compute_attempt(
-          cl, rdd, spec, TaskId{job, stage, task, attempt}, &exec);
-      if (ran_on) *ran_on = exec;
-      co_return out;
-    } catch (const TaskFailed&) {
-      if (exec >= 0) cl.health().record_failure(exec);
-      if (m) ++m->task_retries;
-      if (attempt + 1 >= cl.config().max_task_attempts) {
-        throw std::runtime_error("task exceeded max attempts; job aborted");
-      }
-    }
-  }
-}
-
-/// Shared state of one stage's speculation races, shared_ptr-owned because
-/// *losing* attempts can outlive the stage (and even the job) coroutine
-/// frames: a loser resumes from its final sleep after the stage has moved
-/// on, and may touch only this object plus the job-level attempts
-/// WaitGroup — never stage-frame state. The first attempt to `claim` a
-/// task wins it; everyone else drops out.
-struct SpecRace {
+struct StageRun {
   struct TaskState {
     Time launched = 0;      ///< when the stage spawned the primary.
     bool done = false;      ///< some attempt claimed this task.
     bool speculated = false;  ///< a duplicate was launched.
     int primary_exec = -1;  ///< executor the primary attempt landed on.
   };
+  Cluster& cl;
+  CachedRdd<T>& rdd;
+  const TreeAggSpec<T, U>& spec;
+  int job;
+  AggMetrics* m;
+  bool imm;                  ///< finish policy: merge (IMM) or serialize.
+  int stage_attempt;         ///< IMM stage attempt; 0 for plain.
+  sim::WaitGroup& attempts;  ///< job-level count of live attempt frames.
+  sim::WaitGroup wg;         ///< one unit per task, released by its claimer.
+  std::exception_ptr error;  ///< the job aborts with this.
+  bool failed = false;       ///< IMM: a task failed, the stage restarts.
   std::vector<TaskState> tasks;
   std::vector<Duration> durations;  ///< winners' durations (for the median).
-  sim::Simulator::TimerHandle tick{};  ///< armed lazily by the first tick.
+  sim::Simulator::TimerHandle tick{};  ///< the speculation monitor, if armed.
+  std::vector<int> ran_on;   ///< executor that reported each task.
+  std::vector<Blob<U>> out;  ///< plain: each task's serialized result.
 
-  explicit SpecRace(int p) : tasks(static_cast<std::size_t>(p)) {}
+  StageRun(Cluster& c, CachedRdd<T>& r, const TreeAggSpec<T, U>& s, int j,
+           AggMetrics* metrics, bool merge, int attempt, sim::WaitGroup& a)
+      : cl(c), rdd(r), spec(s), job(j), m(metrics), imm(merge),
+        stage_attempt(attempt), attempts(a), wg(c.simulator()),
+        tasks(static_cast<std::size_t>(r.num_partitions())),
+        ran_on(static_cast<std::size_t>(r.num_partitions()), -1),
+        out(merge ? 0 : static_cast<std::size_t>(r.num_partitions())) {}
 
   bool claim(int t) {
     TaskState& ts = tasks[static_cast<std::size_t>(t)];
@@ -399,33 +372,136 @@ struct SpecRace {
   }
 };
 
+/// One attempt at a compute-stage task: the primary (`force_exec < 0`) or a
+/// speculative duplicate pinned to `force_exec`. The first attempt to claim
+/// the task finishes it; under IMM the *claim happens before the merge*, so
+/// exactly one attempt per task ever merges into the executor's shared value
+/// — which keeps speculation idempotent. A failed primary retries (plain)
+/// or fails the stage (IMM) unless its duplicate already won; a failed
+/// duplicate loses quietly.
+template <typename T, typename U>
+sim::Task<void> stage_task(std::shared_ptr<StageRun<T, U>> run, int task,
+                           int force_exec) {
+  Cluster& cl = run->cl;
+  const bool speculative = force_exec >= 0;
+  auto& ts = run->tasks[static_cast<std::size_t>(task)];
+  std::optional<U> agg;
+  int spec_exec = -1;
+  bool give_up = false;      // this attempt ends the task without a result.
+  std::exception_ptr error;  // with give_up: the job aborts with this.
+  for (int retry = 0; !agg && !give_up; ++retry) {
+    const int attempt = speculative
+                            ? kSpeculativeAttempt + run->stage_attempt
+                            : run->stage_attempt + retry;
+    try {
+      agg.emplace(co_await compute_attempt(
+          cl, run->rdd, run->spec, TaskId{run->job, 0, task, attempt},
+          speculative ? &spec_exec : &ts.primary_exec, force_exec));
+    } catch (const TaskFailed&) {
+      if (speculative || ts.done) break;
+      cl.health().record_failure(ts.primary_exec);
+      if (!run->imm) {
+        ++run->m->task_retries;
+        if (retry + 1 < cl.config().max_task_attempts) continue;
+        error = std::make_exception_ptr(
+            std::runtime_error("task exceeded max attempts; job aborted"));
+      }
+      give_up = true;
+    } catch (...) {
+      if (speculative) break;
+      error = std::current_exception();
+      give_up = true;
+    }
+  }
+  if ((!agg && !give_up) || !run->claim(task)) {
+    run->attempts.done();
+    co_return;  // lost the race.
+  }
+  if (give_up) {
+    if (!error) {
+      run->failed = true;
+    } else if (!run->error) {
+      run->error = error;
+    }
+    run->wg.done();
+    run->attempts.done();
+    co_return;
+  }
+  const int exec = speculative ? spec_exec : ts.primary_exec;
+  run->durations.push_back(cl.simulator().now() - ts.launched);
+  if (speculative) {
+    ++run->m->speculative_wins;
+    cl.trace().instant("compute", "spec.win", obs::exec_pid(exec), task,
+                       {{"task", task}});
+    if (ts.primary_exec >= 0) cl.health().record_straggler(ts.primary_exec);
+  }
+  try {
+    const std::uint64_t nbytes = run->spec.bytes(*agg);
+    const auto bytes_arg = static_cast<std::int64_t>(nbytes);
+    if (run->imm) {
+      auto& obj = cl.executor(exec).mutable_object(run->job, cl.simulator());
+      co_await obj.lock->acquire();
+      sim::SemaphoreGuard g(*obj.lock);
+      if (!obj.value) obj.value = std::make_shared<U>(run->spec.zero);
+      const obs::SpanId merge =
+          cl.trace().begin("reduce", "imm.merge", obs::exec_pid(exec), task,
+                           {{"job", run->job}, {"bytes", bytes_arg}});
+      co_await cl.simulator().sleep(cl.merge_cost(nbytes));
+      run->spec.comb_op(*std::static_pointer_cast<U>(obj.value), *agg);
+      ++obj.merges;
+      cl.trace().end(merge);
+      // Status update carries only (executor id, object id).
+      co_await cl.simulator().sleep(cl.control_latency(exec));
+      (void)cl.driver_loop().enqueue(sim::microseconds(20));
+    } else {
+      // Vanilla Spark: each task serializes its result immediately upon
+      // completion (exactly the overhead IMM removes).
+      const obs::SpanId ser =
+          cl.trace().begin("ser", "ser.result", obs::exec_pid(exec), task,
+                           {{"job", run->job}, {"bytes", bytes_arg}});
+      co_await cl.simulator().sleep(cl.ser_time(nbytes));
+      cl.trace().end(ser);
+      co_await cl.simulator().sleep(cl.control_latency(exec));
+      (void)cl.driver_loop().enqueue(sim::microseconds(50));
+      run->out[static_cast<std::size_t>(task)] =
+          Blob<U>{std::make_shared<U>(std::move(*agg)), nbytes, exec,
+                  /*serialized=*/true};
+    }
+    run->ran_on[static_cast<std::size_t>(task)] = exec;
+  } catch (...) {
+    if (!run->error) run->error = std::current_exception();
+  }
+  run->wg.done();
+  run->attempts.done();
+}
+
 /// Arms the stage's speculation monitor: every `speculation_interval` it
 /// looks for tasks running longer than `speculation_multiplier` x the
 /// running median of completed durations (once `speculation_quantile` of
-/// the stage has completed) and calls `launch(task, target)` with the first
+/// the stage has completed) and launches one duplicate of each on the first
 /// *healthy* executor other than the primary's, in a deterministic scan.
-/// `launch` may capture stage-frame state: the tick must be cancelled
-/// (`cl.simulator().cancel(race->tick)`) before the stage frame exits, and
-/// cancelled events never run (their closures are reclaimed eagerly).
-inline void arm_speculation_tick(
-    Cluster& cl, std::shared_ptr<SpecRace> race,
-    std::shared_ptr<std::function<void(int, int)>> launch, Time at) {
-  race->tick = cl.simulator().call_at_cancellable(
+/// The tick must be cancelled (`cl.simulator().cancel(run->tick)`) when the
+/// stage attempt ends; cancelled events never run (their closures are
+/// reclaimed eagerly).
+template <typename T, typename U>
+void arm_speculation_tick(std::shared_ptr<StageRun<T, U>> run, Time at) {
+  Cluster& cl = run->cl;
+  run->tick = cl.simulator().call_at_cancellable(
       at,
-      [&cl, race, launch, at] {
+      [run, at] {
+        Cluster& cl = run->cl;
         const HealthConfig& h = cl.config().health;
-        const int p = static_cast<int>(race->tasks.size());
+        const int p = static_cast<int>(run->tasks.size());
         const int need = std::max(
             1, static_cast<int>(std::ceil(h.speculation_quantile *
                                           static_cast<double>(p))));
-        if (static_cast<int>(race->durations.size()) >= need) {
+        if (static_cast<int>(run->durations.size()) >= need) {
           const auto threshold = static_cast<Duration>(
               h.speculation_multiplier *
-              static_cast<double>(race->running_median()));
+              static_cast<double>(run->running_median()));
           const Time now = cl.simulator().now();
           for (int t = 0; t < p; ++t) {
-            SpecRace::TaskState& ts =
-                race->tasks[static_cast<std::size_t>(t)];
+            auto& ts = run->tasks[static_cast<std::size_t>(t)];
             if (ts.done || ts.speculated || ts.primary_exec < 0) continue;
             if (now - ts.launched <= threshold) continue;
             int target = -1;
@@ -440,406 +516,105 @@ inline void arm_speculation_tick(
             cl.trace().instant(
                 "compute", "spec.launch", obs::exec_pid(target), t,
                 {{"task", t}, {"primary_exec", ts.primary_exec}});
-            (*launch)(t, target);
+            ++run->m->speculative_launches;
+            run->attempts.add(1);
+            cl.simulator().spawn(stage_task(run, t, target));
           }
         }
-        arm_speculation_tick(cl, race, launch, at + h.speculation_interval);
+        arm_speculation_tick(run, at + h.speculation_interval);
       },
-      race->tick);
+      run->tick);
 }
 
-/// Plain compute stage: one serialized result per partition. When
-/// speculation is enabled (`attempts_wg` non-null and
-/// `health.speculation` on), each task becomes a race: the monitor tick
-/// may launch one duplicate attempt on a healthy executor, the first
-/// finisher claims the task, and losers drop out touching only the shared
-/// race state (the job drains them through `attempts_wg` before its frame
-/// dies).
-template <typename T, typename U>
-sim::Task<std::vector<Blob<U>>> compute_stage_plain(
-    Cluster& cl, CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int job,
-    AggMetrics* m, sim::WaitGroup* attempts_wg = nullptr) {
-  const int p = rdd.num_partitions();
-  std::vector<Blob<U>> out(static_cast<std::size_t>(p));
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope stage_scope(
-      tr, tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
-                   {{"job", job}, {"tasks", p}, {"imm", 0}}));
-  sim::WaitGroup wg(cl.simulator());
-  wg.add(p);
-  std::exception_ptr error;
-  const bool speculate = attempts_wg && cl.config().health.speculation;
-  struct Worker {
-    static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                              const TreeAggSpec<T, U>& spec, int job, int task,
-                              Blob<U>& slot, AggMetrics* m, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      try {
-        U agg = co_await compute_with_retry(cl, rdd, spec, job, task, m);
-        const std::uint64_t nbytes = spec.bytes(agg);
-        const int exec_id = rdd.preferred_executor(task);
-        // Vanilla Spark: each task serializes its result immediately upon
-        // completion (exactly the overhead IMM removes).
-        const obs::SpanId ser = cl.trace().begin(
-            "ser", "ser.result", obs::exec_pid(exec_id), task,
-            {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
-        co_await cl.simulator().sleep(cl.ser_time(nbytes));
-        cl.trace().end(ser);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        (void)cl.driver_loop().enqueue(sim::microseconds(50));
-        slot = Blob<U>{std::make_shared<U>(std::move(agg)), nbytes, exec_id,
-                       /*serialized=*/true};
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-    }
-  };
-  /// One racing attempt (primary or speculative duplicate). Only the
-  /// claiming winner touches stage-frame state (slot, wg, error, m); a
-  /// loser resumes later — possibly after the stage frame is gone — and
-  /// touches only `race` and `attempts`.
-  struct RaceWorker {
-    static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                              const TreeAggSpec<T, U>& spec, int job, int task,
-                              int force_exec, std::shared_ptr<SpecRace> race,
-                              Blob<U>& slot, AggMetrics* m, sim::WaitGroup& wg,
-                              sim::WaitGroup& attempts,
-                              std::exception_ptr& error) {
-      const bool speculative = force_exec >= 0;
-      SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
-      std::optional<U> agg;
-      int ran_exec = -1;
-      if (speculative) {
-        try {
-          agg.emplace(co_await compute_attempt(
-              cl, rdd, spec, TaskId{job, 0, task, kSpeculativeAttempt},
-              &ran_exec, force_exec));
-        } catch (...) {
-          // A failed duplicate loses quietly: the primary is still racing.
-        }
-      } else {
-        for (int attempt = 0;; ++attempt) {
-          try {
-            agg.emplace(co_await compute_attempt(
-                cl, rdd, spec, TaskId{job, 0, task, attempt},
-                &ts.primary_exec));
-            ran_exec = ts.primary_exec;
-            break;
-          } catch (const TaskFailed&) {
-            if (ts.done) break;  // the duplicate already won; stop retrying.
-            cl.health().record_failure(ts.primary_exec);
-            if (m) ++m->task_retries;
-            if (attempt + 1 >= cl.config().max_task_attempts) {
-              if (race->claim(task)) {
-                if (!error) {
-                  error = std::make_exception_ptr(std::runtime_error(
-                      "task exceeded max attempts; job aborted"));
-                }
-                wg.done();
-              }
-              attempts.done();
-              co_return;
-            }
-          }
-        }
-      }
-      if (!agg || !race->claim(task)) {
-        attempts.done();
-        co_return;  // lost the race.
-      }
-      race->durations.push_back(cl.simulator().now() - ts.launched);
-      if (speculative) {
-        if (m) ++m->speculative_wins;
-        cl.trace().instant("compute", "spec.win", obs::exec_pid(ran_exec),
-                           task, {{"task", task}});
-        if (ts.primary_exec >= 0) cl.health().record_straggler(ts.primary_exec);
-      }
-      try {
-        const std::uint64_t nbytes = spec.bytes(*agg);
-        const obs::SpanId ser = cl.trace().begin(
-            "ser", "ser.result", obs::exec_pid(ran_exec), task,
-            {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
-        co_await cl.simulator().sleep(cl.ser_time(nbytes));
-        cl.trace().end(ser);
-        co_await cl.simulator().sleep(cl.control_latency(ran_exec));
-        (void)cl.driver_loop().enqueue(sim::microseconds(50));
-        slot = Blob<U>{std::make_shared<U>(std::move(*agg)), nbytes, ran_exec,
-                       /*serialized=*/true};
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
-      attempts.done();
-    }
-  };
-  if (!speculate) {
-    for (int t = 0; t < p; ++t) {
-      cl.simulator().spawn(Worker::go(cl, rdd, spec, job, t,
-                                      out[static_cast<std::size_t>(t)], m, wg,
-                                      error));
-    }
-    co_await wg.wait();
-  } else {
-    auto race = std::make_shared<SpecRace>(p);
-    const Time t0 = cl.simulator().now();
-    for (int t = 0; t < p; ++t) {
-      race->tasks[static_cast<std::size_t>(t)].launched = t0;
-      attempts_wg->add(1);
-      cl.simulator().spawn(RaceWorker::go(cl, rdd, spec, job, t, -1, race,
-                                          out[static_cast<std::size_t>(t)], m,
-                                          wg, *attempts_wg, error));
-    }
-    auto launch = std::make_shared<std::function<void(int, int)>>(
-        [&cl, &rdd, &spec, job, race, &out, m, &wg, attempts_wg,
-         &error](int task, int target) {
-          if (m) ++m->speculative_launches;
-          attempts_wg->add(1);
-          cl.simulator().spawn(RaceWorker::go(
-              cl, rdd, spec, job, task, target, race,
-              out[static_cast<std::size_t>(task)], m, wg, *attempts_wg,
-              error));
-        });
-    arm_speculation_tick(cl, race, launch,
-                         t0 + cl.config().health.speculation_interval);
-    co_await wg.wait();
-    cl.simulator().cancel(race->tick);
-    // On an error path, drain all attempts *before* throwing: zombies must
-    // not outlive the frames they reference.
-    if (error) co_await attempts_wg->wait();
-  }
-  if (error) {
-    stage_scope.close({{"failed", 1}});
-    std::rethrow_exception(error);
-  }
-  stage_scope.close();
-  co_return out;
-}
+/// A compute stage's output: one blob per task (plain) or per executor
+/// holding a merged value (IMM), and the executor that reported each task.
+template <typename U>
+struct StageOut {
+  std::vector<Blob<U>> blobs;
+  std::vector<int> task_exec;
+};
 
-/// Reduced-result stage (In-Memory Merge): task results fold into one
-/// shared value per executor, unserialized; any failure — an injected task
-/// fault, or an executor dying with partials merged into it — restarts the
-/// whole stage after clearing the partials (paper Section 3.2). If
-/// `task_exec` is non-null it receives, per partition, the executor whose
-/// shared value absorbed that partition (the ring-stage retry uses this to
-/// recompute exactly the partials a later death loses).
+/// The compute stage: one task per partition folding it with the real
+/// seqOp, finished by the stage's policy —
+///
+///  * plain (Spark): serialize the result and report it; a failed task
+///    retries on its own, up to `max_task_attempts`;
+///  * IMM (paper Section 3.2): merge the result into the executor's shared
+///    value, unserialized, and report; any failure — an injected task fault,
+///    or an executor dying with partials merged into it — clears the
+///    partials and restarts the whole stage, up to `max_stage_attempts`.
+///
+/// Every task runs as a race (stage_task). Speculation only decides whether
+/// the monitor tick is armed; without it the primary is each task's only
+/// attempt and always wins. `attempts` is the job's count of attempt frames,
+/// drained before the job's frame dies.
 template <typename T, typename U>
-sim::Task<std::vector<Blob<U>>> compute_stage_imm(
-    Cluster& cl, CachedRdd<T>& rdd, const TreeAggSpec<T, U>& spec, int job,
-    AggMetrics* m, std::vector<int>* task_exec = nullptr,
-    sim::WaitGroup* attempts_wg = nullptr) {
+sim::Task<StageOut<U>> compute_stage(Cluster& cl, CachedRdd<T>& rdd,
+                                     const TreeAggSpec<T, U>& spec, int job,
+                                     AggMetrics* m, bool imm,
+                                     sim::WaitGroup& attempts) {
   const int p = rdd.num_partitions();
-  const bool speculate = attempts_wg && cl.config().health.speculation;
   obs::TraceSink& tr = cl.trace();
   for (int stage_attempt = 0;; ++stage_attempt) {
     obs::TraceSink::Scope stage_scope(
-        tr, tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
-                     {{"job", job},
-                      {"tasks", p},
-                      {"imm", 1},
-                      {"attempt", stage_attempt}}));
-    const std::int64_t key = static_cast<std::int64_t>(job);
-    bool failed = false;
-    std::exception_ptr error;
-    std::vector<int> ran_on(static_cast<std::size_t>(p), -1);
-    sim::WaitGroup wg(cl.simulator());
-    wg.add(p);
-    struct Worker {
-      static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                                const TreeAggSpec<T, U>& spec, int job,
-                                int task, int attempt, std::int64_t key,
-                                bool& failed, int& ran_on, sim::WaitGroup& wg,
-                                std::exception_ptr& error) {
-        int exec_id = -1;
-        try {
-          U agg = co_await compute_attempt(
-              cl, rdd, spec, TaskId{job, 0, task, attempt}, &exec_id);
-          ran_on = exec_id;
-          Executor& ex = cl.executor(exec_id);
-          auto& obj = ex.mutable_object(key, cl.simulator());
-          co_await obj.lock->acquire();
-          sim::SemaphoreGuard g(*obj.lock);
-          if (!obj.value) obj.value = std::make_shared<U>(spec.zero);
-          const std::uint64_t mbytes = spec.bytes(agg);
-          const obs::SpanId merge = cl.trace().begin(
-              "reduce", "imm.merge", obs::exec_pid(exec_id), task,
-              {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}});
-          co_await cl.simulator().sleep(cl.merge_cost(mbytes));
-          spec.comb_op(*std::static_pointer_cast<U>(obj.value), agg);
-          ++obj.merges;
-          cl.trace().end(merge);
-          // Status update carries only (executor id, object id).
-          co_await cl.simulator().sleep(cl.control_latency(exec_id));
-          (void)cl.driver_loop().enqueue(sim::microseconds(20));
-        } catch (const TaskFailed&) {
-          failed = true;
-          if (exec_id >= 0) cl.health().record_failure(exec_id);
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-        wg.done();
-      }
-    };
-    /// Racing IMM attempt. The *claim happens before the merge*: exactly
-    /// one attempt per task ever merges into the executor's shared value,
-    /// which is what keeps speculation idempotent under IMM. Losers (and
-    /// zombies from a previous, failed stage attempt — whose race object
-    /// they keep alive) never merge and never touch stage-frame state.
-    struct RaceWorker {
-      static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                                const TreeAggSpec<T, U>& spec, int job,
-                                int task, int stage_attempt, int force_exec,
-                                std::shared_ptr<SpecRace> race,
-                                std::int64_t key, bool& failed, int& ran_on,
-                                AggMetrics* m, sim::WaitGroup& wg,
-                                sim::WaitGroup& attempts,
-                                std::exception_ptr& error) {
-        const bool speculative = force_exec >= 0;
-        SpecRace::TaskState& ts = race->tasks[static_cast<std::size_t>(task)];
-        std::optional<U> agg;
-        int exec_id = -1;
-        const int attempt = speculative ? kSpeculativeAttempt + stage_attempt
-                                        : stage_attempt;
-        try {
-          if (speculative) {
-            agg.emplace(co_await compute_attempt(
-                cl, rdd, spec, TaskId{job, 0, task, attempt}, &exec_id,
-                force_exec));
-          } else {
-            agg.emplace(co_await compute_attempt(
-                cl, rdd, spec, TaskId{job, 0, task, attempt},
-                &ts.primary_exec));
-            exec_id = ts.primary_exec;
-          }
-        } catch (const TaskFailed&) {
-          // A failed duplicate loses quietly; a failed primary restarts the
-          // stage (IMM has no task-level recovery) — unless its duplicate
-          // already won, in which case speculation just saved the stage.
-          if (!speculative && race->claim(task)) {
-            cl.health().record_failure(ts.primary_exec);
-            failed = true;
-            wg.done();
-          }
-          attempts.done();
-          co_return;
-        } catch (...) {
-          if (!speculative && race->claim(task)) {
-            if (!error) error = std::current_exception();
-            wg.done();
-          }
-          attempts.done();
-          co_return;
-        }
-        if (!race->claim(task)) {
-          attempts.done();
-          co_return;  // lost the race: never merge.
-        }
-        race->durations.push_back(cl.simulator().now() - ts.launched);
-        if (speculative) {
-          if (m) ++m->speculative_wins;
-          cl.trace().instant("compute", "spec.win", obs::exec_pid(exec_id),
-                             task, {{"task", task}});
-          if (ts.primary_exec >= 0) {
-            cl.health().record_straggler(ts.primary_exec);
-          }
-        }
-        try {
-          Executor& ex = cl.executor(exec_id);
-          auto& obj = ex.mutable_object(key, cl.simulator());
-          co_await obj.lock->acquire();
-          sim::SemaphoreGuard g(*obj.lock);
-          if (!obj.value) obj.value = std::make_shared<U>(spec.zero);
-          const std::uint64_t mbytes = spec.bytes(*agg);
-          const obs::SpanId merge = cl.trace().begin(
-              "reduce", "imm.merge", obs::exec_pid(exec_id), task,
-              {{"job", job}, {"bytes", static_cast<std::int64_t>(mbytes)}});
-          co_await cl.simulator().sleep(cl.merge_cost(mbytes));
-          spec.comb_op(*std::static_pointer_cast<U>(obj.value), *agg);
-          ++obj.merges;
-          cl.trace().end(merge);
-          co_await cl.simulator().sleep(cl.control_latency(exec_id));
-          (void)cl.driver_loop().enqueue(sim::microseconds(20));
-          ran_on = exec_id;
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-        wg.done();
-        attempts.done();
-      }
-    };
-    std::shared_ptr<SpecRace> race;
-    if (!speculate) {
-      for (int t = 0; t < p; ++t) {
-        cl.simulator().spawn(Worker::go(cl, rdd, spec, job, t, stage_attempt,
-                                        key, failed,
-                                        ran_on[static_cast<std::size_t>(t)],
-                                        wg, error));
-      }
-    } else {
-      race = std::make_shared<SpecRace>(p);
-      const Time t0 = cl.simulator().now();
-      for (int t = 0; t < p; ++t) {
-        race->tasks[static_cast<std::size_t>(t)].launched = t0;
-        attempts_wg->add(1);
-        cl.simulator().spawn(RaceWorker::go(
-            cl, rdd, spec, job, t, stage_attempt, -1, race, key, failed,
-            ran_on[static_cast<std::size_t>(t)], m, wg, *attempts_wg, error));
-      }
-      auto launch = std::make_shared<std::function<void(int, int)>>(
-          [&cl, &rdd, &spec, job, stage_attempt, race, key, &failed, &ran_on,
-           m, &wg, attempts_wg, &error](int task, int target) {
-            if (m) ++m->speculative_launches;
-            attempts_wg->add(1);
-            cl.simulator().spawn(RaceWorker::go(
-                cl, rdd, spec, job, task, stage_attempt, target, race, key,
-                failed, ran_on[static_cast<std::size_t>(task)], m, wg,
-                *attempts_wg, error));
-          });
-      arm_speculation_tick(cl, race, launch,
-                           t0 + cl.config().health.speculation_interval);
+        tr, imm ? tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
+                           {{"job", job},
+                            {"tasks", p},
+                            {"imm", 1},
+                            {"attempt", stage_attempt}})
+                : tr.begin("stage", "stage.compute", obs::kDriverPid, 0,
+                           {{"job", job}, {"tasks", p}, {"imm", 0}}));
+    auto run = std::make_shared<StageRun<T, U>>(cl, rdd, spec, job, m, imm,
+                                                stage_attempt, attempts);
+    run->wg.add(p);
+    const Time t0 = cl.simulator().now();
+    for (int t = 0; t < p; ++t) {
+      run->tasks[static_cast<std::size_t>(t)].launched = t0;
+      attempts.add(1);
+      cl.simulator().spawn(stage_task(run, t, -1));
     }
-    co_await wg.wait();
-    if (race) cl.simulator().cancel(race->tick);
-    if (error) {
-      if (speculate) co_await attempts_wg->wait();
+    if (cl.config().health.speculation) {
+      arm_speculation_tick(run, t0 + cl.config().health.speculation_interval);
+    }
+    co_await run->wg.wait();
+    cl.simulator().cancel(run->tick);
+    if (run->error) {
+      // Drain every attempt before throwing: zombies must not outlive the
+      // job frame they reference.
+      co_await attempts.wait();
       stage_scope.close({{"failed", 1}});
-      std::rethrow_exception(error);
+      std::rethrow_exception(run->error);
     }
-    if (!failed) {
-      // An executor that died after absorbing partials loses them: that is
-      // a stage failure too (no task-level recovery under IMM).
-      for (int t = 0; t < p; ++t) {
-        if (!cl.executor_alive(ran_on[static_cast<std::size_t>(t)])) {
-          failed = true;
-          break;
-        }
-      }
+    // An executor that died after absorbing partials loses them: that is a
+    // stage failure too (no task-level recovery under IMM).
+    if (imm && std::any_of(run->ran_on.begin(), run->ran_on.end(),
+                           [&cl](int e) { return !cl.executor_alive(e); })) {
+      run->failed = true;
     }
-    if (!failed) {
-      std::vector<Blob<U>> out;
-      for (int e = 0; e < cl.num_executors(); ++e) {
+    if (!run->failed) {
+      StageOut<U> out{std::move(run->out), std::move(run->ran_on)};
+      for (int e = 0; imm && e < cl.num_executors(); ++e) {
         Executor& ex = cl.executor(e);
-        auto& obj = ex.mutable_object(key, cl.simulator());
+        auto& obj = ex.mutable_object(job, cl.simulator());
         if (obj.value) {
           auto val = std::static_pointer_cast<U>(obj.value);
-          out.push_back(Blob<U>{val, spec.bytes(*val), e,
-                                /*serialized=*/false});
+          out.blobs.push_back(Blob<U>{val, spec.bytes(*val), e,
+                                      /*serialized=*/false});
         }
-        ex.clear_mutable_object(key);
+        ex.clear_mutable_object(job);
       }
-      if (task_exec) *task_exec = std::move(ran_on);
       stage_scope.close();
       co_return out;
     }
-    if (m) ++m->stage_restarts;
+    ++m->stage_restarts;
     stage_scope.close({{"failed", 1}});
     tr.instant("recover", "stage.restart", obs::kDriverPid, 0,
                {{"job", job}, {"attempt", stage_attempt}});
     for (int e = 0; e < cl.num_executors(); ++e) {
-      cl.executor(e).clear_mutable_object(key);
+      cl.executor(e).clear_mutable_object(job);
     }
     if (stage_attempt + 1 >= cl.config().max_stage_attempts) {
-      if (speculate) co_await attempts_wg->wait();
+      co_await attempts.wait();
       throw std::runtime_error("stage exceeded max attempts; job aborted");
     }
   }
@@ -963,43 +738,64 @@ struct RingSnapshot {
   std::vector<int> exec_rank;  ///< executor id -> rank, -1 if outside.
 };
 
-/// Recomputes partitions whose partials sit outside the attempt's rank set
-/// (dead, quarantined, or departed holders), folding them into survivors'
-/// shared values — partition data regenerates deterministically, exactly
-/// like a Spark recompute. Shared by split_aggregate and split_allreduce.
-/// Ownership discipline: each executor's partition list is *moved out*
-/// before the first co_await, so no other recovery path (in particular the
-/// overlapped eager refold) can claim the same partitions twice.
+/// Recomputes executor `e`'s partitions — partition data regenerates
+/// deterministically, exactly like a Spark recompute — folding each into
+/// the shared value of the executor it reran on. Ownership discipline: the
+/// partition list is *moved out* before the first co_await, so no other
+/// recovery path can claim the same partitions twice. The residual refold
+/// places tasks through the health view (schedule_executor); the `eager`
+/// one only on executors both usable and alive, handing back what it cannot
+/// place yet for the next boundary's residual refold.
 template <typename T, typename U, typename V>
-sim::Task<void> refold_partials(Cluster& cl, CachedRdd<T>& rdd,
-                                const SplitAggSpec<T, U, V>& spec, int job,
-                                AggMetrics* m, const RingSnapshot& ring,
-                                std::vector<std::shared_ptr<U>>& per_exec,
-                                std::vector<std::vector<int>>& owned) {
+sim::Task<void> refold_lost(Cluster& cl, CachedRdd<T>& rdd,
+                            const SplitAggSpec<T, U, V>& spec, int job,
+                            AggMetrics* m, int e, bool eager,
+                            std::vector<std::shared_ptr<U>>& per_exec,
+                            std::vector<std::vector<int>>& owned) {
   obs::TraceSink& tr = cl.trace();
-  const int num_exec = cl.num_executors();
-  for (int e = 0; e < num_exec; ++e) {
-    if (ring.exec_rank[static_cast<std::size_t>(e)] >= 0 ||
-        owned[static_cast<std::size_t>(e)].empty()) {
-      continue;
-    }
-    const std::vector<int> lost = std::move(owned[static_cast<std::size_t>(e)]);
-    owned[static_cast<std::size_t>(e)].clear();
-    per_exec[static_cast<std::size_t>(e)].reset();
-    obs::TraceSink::Scope refold_scope(
-        tr, tr.begin("recover", "recover.refold", obs::kDriverPid, 0,
-                     {{"job", job},
-                      {"executor", e},
-                      {"partitions", static_cast<std::int64_t>(lost.size())}}));
-    for (int pid : lost) {
+  const std::vector<int> lost = std::move(owned[static_cast<std::size_t>(e)]);
+  owned[static_cast<std::size_t>(e)].clear();
+  per_exec[static_cast<std::size_t>(e)].reset();
+  obs::TraceSink::Scope refold_scope(
+      tr, tr.begin("recover", "recover.refold", obs::kDriverPid, 0,
+                   {{"job", job},
+                    {"executor", e},
+                    {"partitions", static_cast<std::int64_t>(lost.size())}}));
+  for (int pid : lost) {
+    for (int attempt = 0;; ++attempt) {
+      // Eager targets are re-picked per attempt: a dead-but-undetected
+      // executor would burn the whole retry budget before the monitor even
+      // declares it dead.
+      const int target =
+          eager ? scan_executors(cl, rdd.preferred_executor(pid),
+                                 [&cl](int c) {
+                                   return cl.executor_usable(c) &&
+                                          cl.executor_alive(c);
+                                 })
+                : -1;
+      if (eager && target < 0) {
+        // Ownership moved here and moves back exactly once.
+        owned[static_cast<std::size_t>(e)].push_back(pid);
+        break;
+      }
       int ran_on = -1;
-      U agg = co_await compute_with_retry(cl, rdd, spec.base, job, pid, m,
-                                          /*stage=*/1, &ran_on);
-      auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
-      if (!dst) dst = std::make_shared<U>(spec.base.zero);
-      co_await cl.simulator().sleep(cl.merge_cost(spec.base.bytes(agg)));
-      spec.base.comb_op(*dst, agg);
-      owned[static_cast<std::size_t>(ran_on)].push_back(pid);
+      try {
+        U agg = co_await compute_attempt(cl, rdd, spec.base,
+                                         TaskId{job, 1, pid, attempt}, &ran_on,
+                                         target);
+        auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
+        if (!dst) dst = std::make_shared<U>(spec.base.zero);
+        co_await cl.simulator().sleep(cl.merge_cost(spec.base.bytes(agg)));
+        spec.base.comb_op(*dst, agg);
+        owned[static_cast<std::size_t>(ran_on)].push_back(pid);
+        break;
+      } catch (const TaskFailed&) {
+        cl.health().record_failure(ran_on);
+        ++m->task_retries;
+        if (attempt + 1 >= cl.config().max_task_attempts) {
+          throw std::runtime_error("task exceeded max attempts; job aborted");
+        }
+      }
     }
   }
 }
@@ -1025,7 +821,7 @@ sim::Task<RingSnapshot> ring_boundary(Cluster& cl, CachedRdd<T>& rdd,
                                       int job, AggMetrics* m,
                                       std::vector<std::shared_ptr<U>>& per_exec,
                                       std::vector<std::vector<int>>& owned,
-                                      JobRing* job_ring = nullptr) {
+                                      JobRing* job_ring) {
   obs::TraceSink& tr = cl.trace();
   co_await cl.sync_membership(/*complete_drains=*/false);
   const int num_exec = cl.num_executors();
@@ -1081,25 +877,52 @@ sim::Task<RingSnapshot> ring_boundary(Cluster& cl, CachedRdd<T>& rdd,
     ring.rank_exec[static_cast<std::size_t>(r)] = e;
     ring.exec_rank[static_cast<std::size_t>(e)] = r;
   }
-  co_await refold_partials(cl, rdd, spec, job, m, ring, per_exec, owned);
+  for (int e = 0; e < num_exec; ++e) {
+    if (ring.exec_rank[static_cast<std::size_t>(e)] < 0 &&
+        !owned[static_cast<std::size_t>(e)].empty()) {
+      co_await refold_lost(cl, rdd, spec, job, m, e, /*eager=*/false,
+                           per_exec, owned);
+    }
+  }
   co_return ring;
+}
+
+/// Waits out heartbeat detection, then the exponential backoff before the
+/// next ring attempt. With heartbeats on, the driver cannot yet tell which
+/// member is dead — rebuilding immediately would re-include it and fail
+/// again — so the wait (bounded by executor_timeout) lands in
+/// recovery_time, which is exactly what makes detection latency a
+/// measurable recovery component.
+inline sim::Task<void> settle_and_backoff(Cluster& cl, int job,
+                                          int ring_attempt, Duration backoff) {
+  obs::TraceSink& tr = cl.trace();
+  const obs::SpanId detect =
+      tr.begin("detect", "detect.settle", obs::kDriverPid, 0,
+               {{"job", job}, {"attempt", ring_attempt}});
+  co_await cl.health().await_settled();
+  tr.end(detect);
+  const obs::SpanId pause =
+      tr.begin("recover", "recover.backoff", obs::kDriverPid, 0,
+               {{"job", job},
+                {"attempt", ring_attempt},
+                {"backoff_ns", static_cast<std::int64_t>(backoff)}});
+  co_await cl.simulator().sleep(backoff);
+  tr.end(pause);
 }
 
 /// Settle-then-backoff between failed ring-stage attempts, optionally
 /// overlapped with an eager refold of partials lost with *physically dead*
 /// executors (`EngineConfig::overlap_recovery`).
 ///
-/// Sequential mode reproduces the pre-elastic span structure exactly
-/// (detect.settle then recover.backoff, back to back). Overlapped mode
-/// wraps both branches in one `recover.overlap` span: branch A waits out
-/// heartbeat detection and sleeps the backoff; branch B concurrently
-/// recomputes partials whose holders the fault fabric already killed — a
-/// lost partial is a physical fact, the same omniscience compute_attempt
-/// itself uses — onto executors that are both health-usable and alive.
-/// Partitions that cannot be placed yet are pushed back for the next
-/// boundary's residual refold; since every claim is a move, a partition is
-/// refolded by exactly one path. Results are bit-identical either way;
-/// only the timing of the recomputation changes.
+/// Sequential mode is settle_and_backoff alone. Overlapped mode wraps two
+/// concurrent branches in one `recover.overlap` span: branch A is
+/// settle_and_backoff; branch B recomputes partials whose holders the fault
+/// fabric already killed — a lost partial is a physical fact, the same
+/// omniscience compute_attempt itself uses — onto executors that are both
+/// health-usable and alive. Partitions that cannot be placed yet are pushed
+/// back for the next boundary's residual refold; since every claim is a
+/// move, a partition is refolded by exactly one path. Results are
+/// bit-identical either way; only the timing of the recomputation changes.
 template <typename T, typename U, typename V>
 sim::Task<void> recover_between_attempts(
     Cluster& cl, CachedRdd<T>& rdd, const SplitAggSpec<T, U, V>& spec, int job,
@@ -1110,27 +933,9 @@ sim::Task<void> recover_between_attempts(
   const Duration backoff = cl.config().stage_retry_backoff
                            << (ring_attempt - 1);
   if (!cl.config().overlap_recovery) {
-    // With heartbeats on, the driver cannot yet tell which member is dead
-    // — rebuilding immediately would re-include it and fail again. Wait
-    // out detection (bounded by executor_timeout); the wait lands in
-    // recovery_time, which is exactly what makes detection latency a
-    // measurable recovery component.
-    const obs::SpanId detect =
-        tr.begin("detect", "detect.settle", obs::kDriverPid, 0,
-                 {{"job", job}, {"attempt", ring_attempt}});
-    co_await cl.health().await_settled();
-    tr.end(detect);
-    // Exponential backoff before re-running the stage.
-    const obs::SpanId pause =
-        tr.begin("recover", "recover.backoff", obs::kDriverPid, 0,
-                 {{"job", job},
-                  {"attempt", ring_attempt},
-                  {"backoff_ns", static_cast<std::int64_t>(backoff)}});
-    co_await cl.simulator().sleep(backoff);
-    tr.end(pause);
+    co_await settle_and_backoff(cl, job, ring_attempt, backoff);
     co_return;
   }
-
   obs::TraceSink::Scope overlap(
       tr, tr.begin("recover", "recover.overlap", obs::kDriverPid, 0,
                    {{"job", job},
@@ -1139,116 +944,301 @@ sim::Task<void> recover_between_attempts(
   sim::WaitGroup wg(cl.simulator());
   wg.add(2);
   std::exception_ptr error;
-
-  struct Settle {
-    static sim::Task<void> go(Cluster& cl, int job, int ring_attempt,
-                              Duration backoff, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      obs::TraceSink& tr = cl.trace();
+  struct Overlap {
+    static sim::Task<void> branch(sim::Task<void> body, sim::WaitGroup& wg,
+                                  std::exception_ptr& error) {
       try {
-        const obs::SpanId detect =
-            tr.begin("detect", "detect.settle", obs::kDriverPid, 0,
-                     {{"job", job}, {"attempt", ring_attempt}});
-        co_await cl.health().await_settled();
-        tr.end(detect);
-        const obs::SpanId pause =
-            tr.begin("recover", "recover.backoff", obs::kDriverPid, 0,
-                     {{"job", job},
-                      {"attempt", ring_attempt},
-                      {"backoff_ns", static_cast<std::int64_t>(backoff)}});
-        co_await cl.simulator().sleep(backoff);
-        tr.end(pause);
+        co_await std::move(body);
       } catch (...) {
         if (!error) error = std::current_exception();
       }
       wg.done();
     }
-  };
-
-  struct EagerRefold {
-    static sim::Task<void> go(Cluster& cl, CachedRdd<T>& rdd,
-                              const SplitAggSpec<T, U, V>& spec, int job,
-                              AggMetrics* m,
-                              std::vector<std::shared_ptr<U>>& per_exec,
-                              std::vector<std::vector<int>>& owned,
-                              sim::WaitGroup& wg, std::exception_ptr& error) {
-      obs::TraceSink& tr = cl.trace();
-      try {
-        const int num_exec = cl.num_executors();
-        for (int e = 0; e < num_exec; ++e) {
-          if (cl.executor_alive(e) ||
-              owned[static_cast<std::size_t>(e)].empty()) {
-            continue;
-          }
-          std::vector<int> lost =
-              std::move(owned[static_cast<std::size_t>(e)]);
-          owned[static_cast<std::size_t>(e)].clear();
-          per_exec[static_cast<std::size_t>(e)].reset();
-          obs::TraceSink::Scope refold_scope(
-              tr,
-              tr.begin("recover", "recover.refold", obs::kDriverPid, 0,
-                       {{"job", job},
-                        {"executor", e},
-                        {"partitions",
-                         static_cast<std::int64_t>(lost.size())}}));
-          for (int pid : lost) {
-            bool placed = false;
-            for (int attempt = 0; !placed; ++attempt) {
-              // Target: health-usable AND alive, re-picked per attempt —
-              // a dead-but-undetected executor would burn the whole retry
-              // budget before the monitor even declares it dead.
-              int target = -1;
-              const int pref = rdd.preferred_executor(pid);
-              for (int i = 0; i < num_exec; ++i) {
-                const int cand = (pref + i) % num_exec;
-                if (cl.executor_usable(cand) && cl.executor_alive(cand)) {
-                  target = cand;
-                  break;
-                }
-              }
-              if (target < 0) break;  // nowhere to place it right now.
-              try {
-                int ran_on = -1;
-                U agg = co_await compute_attempt(
-                    cl, rdd, spec.base, TaskId{job, 1, pid, attempt},
-                    &ran_on, target);
-                auto& dst = per_exec[static_cast<std::size_t>(ran_on)];
-                if (!dst) dst = std::make_shared<U>(spec.base.zero);
-                co_await cl.simulator().sleep(
-                    cl.merge_cost(spec.base.bytes(agg)));
-                spec.base.comb_op(*dst, agg);
-                owned[static_cast<std::size_t>(ran_on)].push_back(pid);
-                placed = true;
-              } catch (const TaskFailed&) {
-                cl.health().record_failure(target);
-                if (m) ++m->task_retries;
-                if (attempt + 1 >= cl.config().max_task_attempts) {
-                  throw std::runtime_error(
-                      "task exceeded max attempts; job aborted");
-                }
-              }
-            }
-            if (!placed) {
-              // Hand the partition back for the next boundary's residual
-              // refold; ownership moved here and moves back exactly once.
-              owned[static_cast<std::size_t>(e)].push_back(pid);
-            }
-          }
+    static sim::Task<void> eager_refold(
+        Cluster& cl, CachedRdd<T>& rdd, const SplitAggSpec<T, U, V>& spec,
+        int job, AggMetrics* m, std::vector<std::shared_ptr<U>>& per_exec,
+        std::vector<std::vector<int>>& owned) {
+      for (int e = 0; e < cl.num_executors(); ++e) {
+        if (!cl.executor_alive(e) &&
+            !owned[static_cast<std::size_t>(e)].empty()) {
+          co_await refold_lost(cl, rdd, spec, job, m, e, /*eager=*/true,
+                               per_exec, owned);
         }
-      } catch (...) {
-        if (!error) error = std::current_exception();
       }
-      wg.done();
     }
   };
-
-  cl.simulator().spawn(
-      Settle::go(cl, job, ring_attempt, backoff, wg, error));
-  cl.simulator().spawn(EagerRefold::go(cl, rdd, spec, job, m, per_exec,
-                                       owned, wg, error));
+  cl.simulator().spawn(Overlap::branch(
+      settle_and_backoff(cl, job, ring_attempt, backoff), wg, error));
+  cl.simulator().spawn(Overlap::branch(
+      Overlap::eager_refold(cl, rdd, spec, job, m, per_exec, owned), wg,
+      error));
   co_await wg.wait();
   overlap.close();
   if (error) std::rethrow_exception(error);
+}
+
+/// The preamble every aggregation job shares: a fresh job id, the metrics
+/// reset, the health and metrics guards, and the job span (tagged with the
+/// tenant under a scheduler). Declare it first in the job frame: members
+/// are destroyed in reverse — the span, then the metrics guard (which
+/// publishes `*m`), then the health guard.
+struct AggJob {
+  AggMetrics local;
+  AggMetrics* m;
+  int job;
+  HealthJobGuard health;
+  JobMetricsGuard metrics;
+  obs::TraceSink::Scope scope;
+
+  AggJob(Cluster& cl, AggMetrics* out, const char* kind_counter,
+         const char* span, const JobOptions& opt)
+      : m(out ? out : &local),
+        job(cl.next_job_id()),
+        health(cl.health()),
+        metrics{&cl, m, kind_counter, job, opt.tenant},
+        scope(cl.trace(),
+              opt.tenant >= 0
+                  ? cl.trace().begin("job", span, obs::kDriverPid, 0,
+                                     {{"job", job},
+                                      {"tenant", opt.tenant},
+                                      {"sched_job", opt.sched_job}})
+                  : cl.trace().begin("job", span, obs::kDriverPid, 0,
+                                     {{"job", job}})) {
+    m->start = cl.simulator().now();
+    m->task_retries = 0;
+    m->stage_restarts = 0;
+    m->ring_stage_attempts = 0;
+    m->recovery_time = 0;
+    m->speculative_launches = 0;
+    m->speculative_wins = 0;
+  }
+
+  /// Emits the agg_compute / agg_reduce phase spans and closes the job span.
+  void close(obs::TraceSink& tr) {
+    tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
+               m->compute_done, {{"job", job}});
+    tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
+               m->end, {{"job", job}});
+    scope.close();
+  }
+};
+
+/// What the ranks of one split-stage attempt hand the driver.
+template <typename V>
+struct RankResults {
+  std::vector<std::pair<int, V>> segs;  ///< reduce-scatter: all segments.
+  std::uint64_t bytes = 0;              ///< their modeled size.
+  std::shared_ptr<V> replica;           ///< allreduce: rank 0's result.
+};
+
+/// One rank task of a split-stage attempt, as its per-rank body sees it.
+template <typename T, typename U, typename V>
+struct RankCtx {
+  Cluster& cl;
+  const SplitAggSpec<T, U, V>& spec;
+  int job;
+  comm::Communicator& sc;
+  comm::AlgoId algo;
+  bool encoded;  ///< sparse ring with an encode_op: segments ship encoded.
+  int exec;
+  int rank;  ///< in `sc`, fixed when the attempt's communicator was built.
+  std::shared_ptr<U> local;
+  comm::SegOps<V> ops;
+};
+
+/// What distinguishes split_aggregate from split_allreduce. Everything
+/// else — stage 1, the ring-stage attempt loop with its boundary, retune
+/// and recovery, and each rank task's prologue — is split_job's.
+template <typename T, typename U, typename V>
+struct SplitOp {
+  const char* job_span;      ///< e.g. "job.split_aggregate".
+  const char* kind_counter;  ///< e.g. "agg.jobs.split".
+  const char* stage_span;    ///< the ring-stage attempt span.
+  const char* abort_msg;     ///< thrown once max_stage_attempts fail.
+  comm::CollectiveOp op;     ///< what retune_algo prices.
+  /// Per rank, after the prologue and inside its core slot: run the
+  /// collective and deliver this rank's share into the results.
+  std::function<sim::Task<void>(RankCtx<T, U, V>&, RankResults<V>&)> rank_body;
+  /// At the driver once every rank finished: the job's result.
+  /// `dense_bytes` is the aggregator's modeled size.
+  std::function<sim::Task<V>(Cluster&, const SplitAggSpec<T, U, V>&, int job,
+                             bool encoded, std::uint64_t dense_bytes,
+                             RankResults<V>&)>
+      finish;
+};
+
+/// One rank task: dispatch, control hop, core slot (held across the
+/// collective), task overhead, then the pass over the local aggregator that
+/// cuts it into P*N segments — the codec's gather pass when `encoded`, which
+/// emits the encoded segments directly — and the op's per-rank body. Any
+/// failure lands in `error`; the catch-all is what keeps the WaitGroup
+/// complete (no silent hang) when a fault strikes mid-collective.
+template <typename T, typename U, typename V>
+sim::Task<void> split_rank_task(const SplitOp<T, U, V>& op,
+                                RankCtx<T, U, V> r, RankResults<V>& out,
+                                sim::WaitGroup& wg, std::exception_ptr& error) {
+  Cluster& cl = r.cl;
+  try {
+    const Time dispatched =
+        cl.driver_loop().enqueue(cl.spec().rates.task_dispatch);
+    co_await cl.simulator().sleep_until(dispatched);
+    co_await cl.simulator().sleep(cl.control_latency(r.exec));
+    Executor& ex = cl.executor(r.exec);
+    co_await ex.cores().acquire();
+    sim::SemaphoreGuard slot(ex.cores());
+    co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
+    const std::uint64_t bytes = r.spec.base.bytes(*r.local);
+    if (r.encoded) {
+      // Priced at the codec scan bandwidth, in its own "comp" category.
+      const obs::SpanId span = cl.trace().begin(
+          "comp", "comp.encode", obs::exec_pid(r.exec), r.rank,
+          {{"job", r.job}, {"bytes", static_cast<std::int64_t>(bytes)}});
+      co_await cl.simulator().sleep(cl.codec_cost(bytes));
+      cl.trace().end(span);
+    } else {
+      co_await cl.simulator().sleep(cl.merge_cost(bytes));
+    }
+    r.ops = make_seg_ops(cl, r.job, r.encoded, r.exec, r.rank, r.spec, r.local);
+    co_await op.rank_body(r, out);
+  } catch (...) {
+    if (!error) error = std::current_exception();
+  }
+  wg.done();
+}
+
+/// A split-stage job (paper Figure 6): a reduced-result stage, then a
+/// statically scheduled SpawnRDD stage running `op`'s collective over the
+/// scalable communicator, then `op.finish` at the driver.
+///
+/// The SpawnRDD stage is fault-tolerant at *stage* granularity: if a
+/// collective fails (an executor dies mid-ring, or a severed channel times
+/// a recv out), the surviving per-executor merged values from stage 1 are
+/// kept, any partials lost with dead executors are recomputed onto
+/// survivors, the communicator is rebuilt over the surviving topology, and
+/// the whole stage re-runs after an exponential backoff — up to
+/// `max_stage_attempts` times. Attempt counts and the simulated time lost
+/// to recovery land in AggMetrics (and, cluster-lifetime, in the metrics
+/// registry).
+template <typename T, typename U, typename V>
+sim::Task<V> split_job(Cluster& cl, CachedRdd<T>& rdd,
+                       const SplitAggSpec<T, U, V>& spec, AggMetrics* metrics,
+                       JobOptions opt, SplitOp<T, U, V> op) {
+  AggJob aj(cl, metrics, op.kind_counter, op.job_span, opt);
+  AggMetrics* m = aj.m;
+  const int job = aj.job;
+  obs::TraceSink& tr = cl.trace();
+  sim::WaitGroup spec_attempts(cl.simulator());
+
+  // Job boundary: admit arrived joiners before stage 1 so they can take
+  // compute tasks; no partials exist yet, so pending drains just complete.
+  co_await cl.sync_membership(/*complete_drains=*/true);
+
+  // Stage 1: reduced-result stage; exactly one aggregator per executor.
+  co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
+  StageOut<U> stage1 = co_await compute_stage(cl, rdd, spec.base, job, m,
+                                              /*imm=*/true, spec_attempts);
+  m->compute_done = cl.simulator().now();
+
+  // Per-executor merged values, keyed by *executor id* (stable across
+  // communicator rebuilds), plus which partitions fed each value — the
+  // recovery bookkeeping for refolding lost partials.
+  const int num_exec = cl.num_executors();
+  std::vector<std::shared_ptr<U>> per_exec(static_cast<std::size_t>(num_exec));
+  std::vector<std::vector<int>> owned(static_cast<std::size_t>(num_exec));
+  for (auto& b : stage1.blobs) {
+    per_exec[static_cast<std::size_t>(b.executor)] = b.value;
+  }
+  for (int t = 0; t < rdd.num_partitions(); ++t) {
+    const int e = stage1.task_exec[static_cast<std::size_t>(t)];
+    owned[static_cast<std::size_t>(e)].push_back(t);
+  }
+
+  // Stage 2: SpawnRDD — one task pinned to each live executor, retried at
+  // stage granularity on collective failure. The concrete algorithm the
+  // previous attempt ran: ring re-formation keeps it (hysteresis in
+  // comm::retune_algo) unless the tuner's pick for the new ring size is
+  // decisively better. kAuto = no prior attempt.
+  comm::AlgoId prev_algo = comm::AlgoId::kAuto;
+  for (int ring_attempt = 1;; ++ring_attempt) {
+    m->ring_stage_attempts = ring_attempt;
+    const Time attempt_start = cl.simulator().now();
+    // The algorithm is resolved once per attempt (inside the try, after the
+    // membership snapshot: kAuto depends on the live rank count), so every
+    // rank of one collective runs the same algorithm. Declared here so the
+    // failure path can stamp it on the closing span too.
+    comm::AlgoId algo = cl.config().collective_algo;
+    // The attempt span opens at attempt_start and, on failure, closes at
+    // the instant the collective failure surfaces — making the failed span
+    // plus the recovery spans that follow (detect.settle + recover.backoff,
+    // or their recover.overlap wrapper) exactly the contiguous interval
+    // recovery_time accrues (obs::recovery_from_trace reconstructs it).
+    obs::TraceSink::Scope attempt_scope(
+        tr, tr.begin("stage", op.stage_span, obs::kDriverPid, 0,
+                     {{"job", job}, {"attempt", ring_attempt}}));
+    try {
+      co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
+      // Stage boundary: membership sync, drained-partial migration, ring
+      // (re)formation and residual refold, all against one rank snapshot
+      // (see ring_boundary for why the ordering is load-bearing).
+      const RingSnapshot ring = co_await ring_boundary(
+          cl, rdd, spec, job, m, per_exec, owned, opt.ring);
+      // Without a density_op the density is 1.0: dense specs never price
+      // the sparse ring as a win.
+      const U& sample = sample_aggregator(spec, per_exec);
+      const std::uint64_t agg_bytes = spec.base.bytes(sample);
+      algo = comm::retune_algo(
+          op.op, cl.config().collective_algo, prev_algo,
+          cl.collective_cost_inputs(
+              agg_bytes, ring.n,
+              spec.density_op ? spec.density_op(sample) : 1.0));
+      prev_algo = algo;
+      cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
+                       1);
+      const bool encoded = algo == comm::AlgoId::kSparseRing &&
+                           static_cast<bool>(spec.encode_op);
+      RankResults<V> results;
+      std::exception_ptr error;
+      sim::WaitGroup wg(cl.simulator());
+      wg.add(ring.n);
+      for (int r = 0; r < ring.n; ++r) {
+        const int e = ring.rank_exec[static_cast<std::size_t>(r)];
+        auto localv = per_exec[static_cast<std::size_t>(e)];
+        // Executors that received no partition contribute a zero aggregator.
+        if (!localv) localv = std::make_shared<U>(spec.base.zero);
+        cl.simulator().spawn(split_rank_task(
+            op,
+            RankCtx<T, U, V>{cl, spec, job, *ring.sc, algo, encoded, e, r,
+                             std::move(localv), {}},
+            results, wg, error));
+      }
+      co_await wg.wait();
+      if (error) std::rethrow_exception(error);
+      V result = co_await op.finish(cl, spec, job, encoded, agg_bytes, results);
+      m->end = cl.simulator().now();
+      attempt_scope.close({{"algo", static_cast<std::int64_t>(algo)}});
+      aj.close(tr);
+      co_await spec_attempts.wait();
+      co_return result;
+    } catch (const comm::CollectiveFailed&) {
+      // Stage-level cleanup: the failed attempt's communicator (with any
+      // stale in-flight messages) is retired; the next attempt gets a
+      // fresh one over the surviving topology.
+      cl.ring_invalidate(opt.ring);
+      attempt_scope.close(
+          {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
+    }
+    // Only a failed attempt gets here (success returns from the try).
+    ++m->stage_restarts;
+    if (ring_attempt >= cl.config().max_stage_attempts) {
+      co_await spec_attempts.wait();
+      throw std::runtime_error(op.abort_msg);
+    }
+    // Settle-then-backoff — overlapped with eager refold of partials lost
+    // with dead executors when overlap_recovery is on.
+    co_await recover_between_attempts(cl, rdd, spec, job, ring_attempt, m,
+                                      per_exec, owned);
+    m->recovery_time += cl.simulator().now() - attempt_start;
+  }
 }
 
 }  // namespace detail
@@ -1260,28 +1250,9 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
                             const TreeAggSpec<T, U>& spec,
                             AggMetrics* metrics = nullptr,
                             const JobOptions& opt = {}) {
-  AggMetrics local;
-  AggMetrics* m = metrics ? metrics : &local;
-  const int job = cl.next_job_id();
-  m->start = cl.simulator().now();
-  m->task_retries = 0;
-  m->stage_restarts = 0;
-  m->ring_stage_attempts = 0;
-  m->recovery_time = 0;
-  m->speculative_launches = 0;
-  m->speculative_wins = 0;
-  HealthJobGuard health_guard(cl.health());
-  detail::JobMetricsGuard metrics_guard{&cl, m, "agg.jobs.tree", job,
-                                        opt.tenant};
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope job_scope(
-      tr, opt.tenant >= 0
-              ? tr.begin("job", "job.tree_aggregate", obs::kDriverPid, 0,
-                         {{"job", job},
-                          {"tenant", opt.tenant},
-                          {"sched_job", opt.sched_job}})
-              : tr.begin("job", "job.tree_aggregate", obs::kDriverPid, 0,
-                         {{"job", job}}));
+  detail::AggJob aj(cl, metrics, "agg.jobs.tree", "job.tree_aggregate", opt);
+  AggMetrics* m = aj.m;
+  const int job = aj.job;
   // Counts every racing attempt frame; drained before this frame dies so
   // losing speculative attempts never outlive the state they reference.
   sim::WaitGroup spec_attempts(cl.simulator());
@@ -1291,14 +1262,9 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
   co_await cl.sync_membership(/*complete_drains=*/true);
   const bool imm = cl.config().agg_mode != AggMode::kTree;
   co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-  std::vector<detail::Blob<U>> blobs;
-  if (imm) {
-    blobs = co_await detail::compute_stage_imm(cl, rdd, spec, job, m, nullptr,
-                                               &spec_attempts);
-  } else {
-    blobs = co_await detail::compute_stage_plain(cl, rdd, spec, job, m,
-                                                 &spec_attempts);
-  }
+  detail::StageOut<U> stage = co_await detail::compute_stage(
+      cl, rdd, spec, job, m, imm, spec_attempts);
+  std::vector<detail::Blob<U>> blobs = std::move(stage.blobs);
   m->compute_done = cl.simulator().now();
 
   // Spark's reduction schedule: scale = max(ceil(P^(1/depth)), 2); combine
@@ -1335,7 +1301,9 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
       }
     };
     for (int j = 0; j < num_partitions; ++j) {
-      const int dest = j % cl.num_executors();
+      // Combine tasks round-robin over executors, placed through the health
+      // view like compute tasks.
+      const int dest = detail::schedule_executor(cl, j % cl.num_executors());
       cl.simulator().spawn(Combine::go(cl, job,
                                        std::move(groups[static_cast<std::size_t>(j)]),
                                        dest, spec,
@@ -1349,11 +1317,7 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
   U result = co_await detail::driver_reduce<U>(cl, job, std::move(blobs),
                                                spec.comb_op);
   m->end = cl.simulator().now();
-  tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-             m->compute_done, {{"job", job}});
-  tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-             m->end, {{"job", job}});
-  job_scope.close();
+  aj.close(cl.trace());
   // Drain losing speculative attempts (m->end is already recorded, so the
   // job's measured time excludes zombies running out their last attempt).
   co_await spec_attempts.wait();
@@ -1362,246 +1326,63 @@ sim::Task<U> tree_aggregate(Cluster& cl, CachedRdd<T>& rdd,
 
 /// Sparker's splitAggregate (paper Figure 6): reduced-result stage, then a
 /// statically scheduled SpawnRDD stage running ring reduce-scatter over the
-/// scalable communicator, then collect + concatOp at the driver.
-///
-/// The SpawnRDD stage is fault-tolerant at *stage* granularity: if a
-/// collective fails (an executor dies mid-ring, or a severed channel times
-/// a recv out), the surviving per-executor merged values from stage 1 are
-/// kept, any partials lost with dead executors are recomputed onto
-/// survivors, the communicator is rebuilt over the surviving topology, and
-/// the whole ring stage re-runs after an exponential backoff — up to
-/// `max_stage_attempts` times. Attempt counts and the simulated time lost
-/// to recovery land in AggMetrics (and, cluster-lifetime, in the metrics
-/// registry).
+/// scalable communicator, then collect + concatOp at the driver. Fault
+/// tolerance and recovery: see detail::split_job.
 template <typename T, typename U, typename V>
 sim::Task<V> split_aggregate(Cluster& cl, CachedRdd<T>& rdd,
                              const SplitAggSpec<T, U, V>& spec,
                              AggMetrics* metrics = nullptr,
                              const JobOptions& opt = {}) {
-  AggMetrics local;
-  AggMetrics* m = metrics ? metrics : &local;
-  const int job = cl.next_job_id();
-  m->start = cl.simulator().now();
-  m->task_retries = 0;
-  m->stage_restarts = 0;
-  m->ring_stage_attempts = 0;
-  m->recovery_time = 0;
-  m->speculative_launches = 0;
-  m->speculative_wins = 0;
-  HealthJobGuard health_guard(cl.health());
-  detail::JobMetricsGuard metrics_guard{&cl, m, "agg.jobs.split", job,
-                                        opt.tenant};
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope job_scope(
-      tr, opt.tenant >= 0
-              ? tr.begin("job", "job.split_aggregate", obs::kDriverPid, 0,
-                         {{"job", job},
-                          {"tenant", opt.tenant},
-                          {"sched_job", opt.sched_job}})
-              : tr.begin("job", "job.split_aggregate", obs::kDriverPid, 0,
-                         {{"job", job}}));
-  sim::WaitGroup spec_attempts(cl.simulator());
-
-  // Job boundary: admit arrived joiners before stage 1 so they can take
-  // compute tasks; no partials exist yet, so pending drains just complete.
-  co_await cl.sync_membership(/*complete_drains=*/true);
-
-  // Stage 1: reduced-result stage; exactly one aggregator per executor.
-  co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-  std::vector<int> task_exec;
-  auto blobs =
-      co_await detail::compute_stage_imm(cl, rdd, spec.base, job, m,
-                                         &task_exec, &spec_attempts);
-  m->compute_done = cl.simulator().now();
-
-  // Per-executor merged values, keyed by *executor id* (stable across
-  // communicator rebuilds), plus which partitions fed each value — the
-  // recovery bookkeeping for refolding lost partials.
-  const int num_exec = cl.num_executors();
-  std::vector<std::shared_ptr<U>> per_exec(static_cast<std::size_t>(num_exec));
-  std::vector<std::vector<int>> owned(static_cast<std::size_t>(num_exec));
-  for (auto& b : blobs) {
-    per_exec[static_cast<std::size_t>(b.executor)] = b.value;
-  }
-  for (int t = 0; t < rdd.num_partitions(); ++t) {
-    owned[static_cast<std::size_t>(task_exec[static_cast<std::size_t>(t)])]
-        .push_back(t);
-  }
-
-  // Stage 2: SpawnRDD — one task pinned to each live executor, retried at
-  // stage granularity on collective failure.
-  struct RingTask {
-    // `rank` is this executor's rank in `sc`, captured when the attempt's
-    // communicator was built: re-deriving it here (rank_of_executor) could
-    // trigger a mid-attempt rebuild if another executor has died since,
-    // leaving rank and communicator inconsistent.
-    static sim::Task<void> go(Cluster& cl, int job, comm::Communicator& sc,
-                              comm::AlgoId algo, int exec_id, int rank,
-                              const SplitAggSpec<T, U, V>& spec,
-                              std::shared_ptr<U> local,
-                              std::vector<std::pair<int, V>>& all_segs,
-                              std::uint64_t& total_v_bytes, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      try {
-        const Time dispatched =
-            cl.driver_loop().enqueue(cl.spec().rates.task_dispatch);
-        co_await cl.simulator().sleep_until(dispatched);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        Executor& ex = cl.executor(exec_id);
-        co_await ex.cores().acquire();
-        sim::SemaphoreGuard slot(ex.cores());
-        co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
-        if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-          // The codec's gather pass emits the encoded segments directly,
-          // replacing the dense split pass.
-          co_await detail::comp_encode_pass(cl, job, algo, exec_id, rank,
-                                            spec, *local);
-        } else {
-          // Splitting the aggregator into P*N segments is one pass over it.
-          co_await cl.simulator().sleep(
-              cl.merge_cost(spec.base.bytes(*local)));
-        }
-        comm::SegOps<V> ops =
-            detail::make_seg_ops(cl, job, algo, exec_id, rank, spec, local);
-        auto segs = co_await comm::CollectiveRegistry<V>::instance()
-                        .reduce_scatter(algo, sc, rank, ops);
-        if (!cl.executor_alive(exec_id)) {
-          throw comm::CollectiveFailed("executor died after reduce-scatter");
-        }
-        // Ship this task's P segments to the driver as its task result.
-        std::uint64_t nbytes = 0;
-        for (auto& [idx, v] : segs) nbytes += spec.v_bytes(v);
-        const obs::SpanId ser = cl.trace().begin(
-            "ser", "ser.result", obs::exec_pid(exec_id), rank,
-            {{"job", job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
-        co_await cl.simulator().sleep(cl.ser_time(nbytes));
-        cl.trace().end(ser);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        if (nbytes > detail::kDirectResultLimit) {
-          co_await cl.fetch_blob(exec_id, Cluster::kDriver, nbytes);
-        }
-        const Time done =
-            cl.driver_loop().enqueue(cl.driver_deser_time(nbytes));
-        co_await cl.simulator().sleep_until(done);
-        for (auto& s : segs) all_segs.push_back(std::move(s));
-        total_v_bytes += nbytes;
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
+  detail::SplitOp<T, U, V> op{
+      "job.split_aggregate", "agg.jobs.split", "stage.ring",
+      "ring stage exceeded max attempts; job aborted",
+      comm::CollectiveOp::kReduceScatter, nullptr, nullptr};
+  op.rank_body = [](detail::RankCtx<T, U, V>& r,
+                    detail::RankResults<V>& out) -> sim::Task<void> {
+    Cluster& cl = r.cl;
+    auto segs = co_await comm::CollectiveRegistry<V>::instance().reduce_scatter(
+        r.algo, r.sc, r.rank, r.ops);
+    if (!cl.executor_alive(r.exec)) {
+      throw comm::CollectiveFailed("executor died after reduce-scatter");
     }
+    // Ship this task's P segments to the driver as its task result.
+    std::uint64_t nbytes = 0;
+    for (auto& [idx, v] : segs) nbytes += r.spec.v_bytes(v);
+    const obs::SpanId ser = cl.trace().begin(
+        "ser", "ser.result", obs::exec_pid(r.exec), r.rank,
+        {{"job", r.job}, {"bytes", static_cast<std::int64_t>(nbytes)}});
+    co_await cl.simulator().sleep(cl.ser_time(nbytes));
+    cl.trace().end(ser);
+    co_await cl.simulator().sleep(cl.control_latency(r.exec));
+    if (nbytes > detail::kDirectResultLimit) {
+      co_await cl.fetch_blob(r.exec, Cluster::kDriver, nbytes);
+    }
+    const Time done = cl.driver_loop().enqueue(cl.driver_deser_time(nbytes));
+    co_await cl.simulator().sleep_until(done);
+    for (auto& s : segs) out.segs.push_back(std::move(s));
+    out.bytes += nbytes;
   };
-
-  // The concrete algorithm the previous attempt ran: ring re-formation
-  // keeps it (hysteresis in comm::retune_algo) unless the tuner's pick for
-  // the new ring size is decisively better. kAuto = no prior attempt.
-  comm::AlgoId prev_algo = comm::AlgoId::kAuto;
-  for (int ring_attempt = 1;; ++ring_attempt) {
-    m->ring_stage_attempts = ring_attempt;
-    const Time attempt_start = cl.simulator().now();
-    bool attempt_failed = false;
-    // The algorithm is resolved once per attempt (inside the try, after the
-    // membership snapshot: kAuto depends on the live rank count), so every
-    // rank of one collective runs the same algorithm. Declared here so the
-    // failure path can stamp it on the closing span too.
-    comm::AlgoId algo = cl.config().collective_algo;
-    // The attempt span opens at attempt_start and, on failure, closes at
-    // the instant the collective failure surfaces — making the failed span
-    // plus the recovery spans that follow (detect.settle + recover.backoff,
-    // or their recover.overlap wrapper) exactly the contiguous interval
-    // recovery_time accrues (obs::recovery_from_trace reconstructs it).
-    obs::TraceSink::Scope attempt_scope(
-        tr, tr.begin("stage", "stage.ring", obs::kDriverPid, 0,
-                     {{"job", job}, {"attempt", ring_attempt}}));
-    try {
-      co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-      // Stage boundary: membership sync, drained-partial migration, ring
-      // (re)formation and residual refold, all against one rank snapshot
-      // (see ring_boundary for why the ordering is load-bearing).
-      const detail::RingSnapshot ring = co_await detail::ring_boundary(
-          cl, rdd, spec, job, m, per_exec, owned, opt.ring);
-      const int n = ring.n;
-      algo = comm::retune_algo(
-          comm::CollectiveOp::kReduceScatter, cl.config().collective_algo,
-          prev_algo,
-          cl.collective_cost_inputs(detail::aggregator_bytes(spec, per_exec),
-                                    n,
-                                    detail::aggregator_density(spec,
-                                                               per_exec)));
-      prev_algo = algo;
-      cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
-                       1);
-      std::vector<std::pair<int, V>> all_segs;
-      std::uint64_t total_v_bytes = 0;
-      std::exception_ptr error;
-      sim::WaitGroup wg(cl.simulator());
-      wg.add(n);
-      for (int r = 0; r < n; ++r) {
-        const int e = ring.rank_exec[static_cast<std::size_t>(r)];
-        auto localv = per_exec[static_cast<std::size_t>(e)];
-        // Executors that received no partition contribute a zero aggregator.
-        if (!localv) localv = std::make_shared<U>(spec.base.zero);
-        cl.simulator().spawn(RingTask::go(cl, job, *ring.sc, algo, e, r, spec,
-                                          std::move(localv), all_segs,
-                                          total_v_bytes, wg, error));
-      }
-      co_await wg.wait();
-      if (error) std::rethrow_exception(error);
-
-      std::sort(all_segs.begin(), all_segs.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      // Sparse ring only: the driver densifies the compressed segments
-      // before concatenation — one codec scatter pass over the dense
-      // result (an array codec, not generic JVM folding), attributed to
-      // the "comp" category.
-      if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-        const std::uint64_t dense_bytes =
-            detail::aggregator_bytes(spec, per_exec);
-        const Time t0 = cl.simulator().now();
-        const Time decoded =
-            cl.driver_loop().enqueue(cl.codec_cost(dense_bytes));
-        co_await cl.simulator().sleep_until(decoded);
-        tr.span_at("comp", "comp.decode", obs::kDriverPid, 0, t0, decoded,
-                   {{"job", job},
-                    {"bytes", static_cast<std::int64_t>(dense_bytes)}});
-      }
-      const Time done =
-          cl.driver_loop().enqueue(cl.driver_merge_cost(total_v_bytes));
-      co_await cl.simulator().sleep_until(done);
-      V result = spec.concat_op(all_segs);
-      m->end = cl.simulator().now();
-      attempt_scope.close({{"algo", static_cast<std::int64_t>(algo)}});
-      tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-                 m->compute_done, {{"job", job}});
-      tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-                 m->end, {{"job", job}});
-      job_scope.close();
-      co_await spec_attempts.wait();
-      co_return result;
-    } catch (const comm::CollectiveFailed&) {
-      // Stage-level cleanup: the failed attempt's communicator (with any
-      // stale in-flight messages) is retired; the next attempt gets a
-      // fresh one over the surviving topology.
-      cl.ring_invalidate(opt.ring);
-      attempt_scope.close(
-          {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
-      attempt_failed = true;
+  op.finish = [](Cluster& cl, const SplitAggSpec<T, U, V>& spec, int job,
+                 bool encoded, std::uint64_t dense_bytes,
+                 detail::RankResults<V>& out) -> sim::Task<V> {
+    std::sort(out.segs.begin(), out.segs.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    // Sparse ring only: the driver densifies the compressed segments
+    // before concatenation — one codec scatter pass over the dense result
+    // (an array codec, not generic JVM folding), attributed to "comp".
+    if (encoded) {
+      const Time t0 = cl.simulator().now();
+      const Time decoded = cl.driver_loop().enqueue(cl.codec_cost(dense_bytes));
+      co_await cl.simulator().sleep_until(decoded);
+      cl.trace().span_at("comp", "comp.decode", obs::kDriverPid, 0, t0, decoded,
+                         {{"job", job},
+                          {"bytes", static_cast<std::int64_t>(dense_bytes)}});
     }
-    if (attempt_failed) {
-      if (m) ++m->stage_restarts;
-      if (ring_attempt >= cl.config().max_stage_attempts) {
-        co_await spec_attempts.wait();
-        throw std::runtime_error(
-            "ring stage exceeded max attempts; job aborted");
-      }
-      // Settle-then-backoff — overlapped with eager refold of partials
-      // lost with dead executors when overlap_recovery is on.
-      co_await detail::recover_between_attempts(cl, rdd, spec, job,
-                                                ring_attempt, m, per_exec,
-                                                owned);
-      m->recovery_time += cl.simulator().now() - attempt_start;
-    }
-  }
+    const Time done = cl.driver_loop().enqueue(cl.driver_merge_cost(out.bytes));
+    co_await cl.simulator().sleep_until(done);
+    co_return spec.concat_op(out.segs);
+  };
+  return detail::split_job(cl, rdd, spec, metrics, opt, std::move(op));
 }
 
 /// Allreduce-flavoured split aggregation (extension; paper Section 6 notes
@@ -1612,201 +1393,54 @@ sim::Task<V> split_aggregate(Cluster& cl, CachedRdd<T>& rdd,
 /// value *resident on every executor*. The driver receives only a tiny
 /// digest. If `result_key >= 0`, each executor's replica is stored in its
 /// mutable object manager under that key so subsequent stages can use it
-/// without a broadcast.
+/// without a broadcast. Fault tolerance: the same stage-level retry and
+/// recovery as split_aggregate (detail::split_job).
 template <typename T, typename U, typename V>
 sim::Task<V> split_allreduce(Cluster& cl, CachedRdd<T>& rdd,
                              const SplitAggSpec<T, U, V>& spec,
                              AggMetrics* metrics = nullptr,
                              std::int64_t result_key = -1,
                              const JobOptions& opt = {}) {
-  AggMetrics local;
-  AggMetrics* m = metrics ? metrics : &local;
-  const int job = cl.next_job_id();
-  m->start = cl.simulator().now();
-  m->task_retries = 0;
-  m->stage_restarts = 0;
-  m->ring_stage_attempts = 0;
-  m->recovery_time = 0;
-  m->speculative_launches = 0;
-  m->speculative_wins = 0;
-  HealthJobGuard health_guard(cl.health());
-  detail::JobMetricsGuard metrics_guard{&cl, m, "agg.jobs.allreduce", job,
-                                        opt.tenant};
-  obs::TraceSink& tr = cl.trace();
-  obs::TraceSink::Scope job_scope(
-      tr, opt.tenant >= 0
-              ? tr.begin("job", "job.split_allreduce", obs::kDriverPid, 0,
-                         {{"job", job},
-                          {"tenant", opt.tenant},
-                          {"sched_job", opt.sched_job}})
-              : tr.begin("job", "job.split_allreduce", obs::kDriverPid, 0,
-                         {{"job", job}}));
-  sim::WaitGroup spec_attempts(cl.simulator());
-
-  // Job boundary: admit arrived joiners and complete pending drains (same
-  // contract as split_aggregate).
-  co_await cl.sync_membership(/*complete_drains=*/true);
-  co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-  std::vector<int> task_exec;
-  auto blobs = co_await detail::compute_stage_imm(cl, rdd, spec.base, job, m,
-                                                  &task_exec, &spec_attempts);
-  m->compute_done = cl.simulator().now();
-
-  // Same recovery bookkeeping as split_aggregate: per-executor merged
-  // values keyed by executor id, plus the partitions that fed each one.
-  const int num_exec = cl.num_executors();
-  std::vector<std::shared_ptr<U>> per_exec(static_cast<std::size_t>(num_exec));
-  std::vector<std::vector<int>> owned(static_cast<std::size_t>(num_exec));
-  for (auto& b : blobs) {
-    per_exec[static_cast<std::size_t>(b.executor)] = b.value;
-  }
-  for (int t = 0; t < rdd.num_partitions(); ++t) {
-    owned[static_cast<std::size_t>(task_exec[static_cast<std::size_t>(t)])]
-        .push_back(t);
-  }
-
-  struct AllreduceTask {
-    // `rank` is captured from the attempt's communicator build (deriving it
-    // here could trigger a mid-attempt rebuild — see RingTask). Any failure
-    // lands in `error` and the attempt retries at stage granularity; the
-    // catch-all is what keeps the WaitGroup complete (no silent hang) when
-    // a fault strikes mid-allreduce.
-    static sim::Task<void> go(Cluster& cl, int job, comm::Communicator& sc,
-                              comm::AlgoId algo, int exec_id, int rank,
-                              const SplitAggSpec<T, U, V>& spec,
-                              std::shared_ptr<U> local,
-                              std::shared_ptr<V>& result,
-                              std::int64_t result_key, sim::WaitGroup& wg,
-                              std::exception_ptr& error) {
-      try {
-        const Time dispatched =
-            cl.driver_loop().enqueue(cl.spec().rates.task_dispatch);
-        co_await cl.simulator().sleep_until(dispatched);
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        Executor& ex = cl.executor(exec_id);
-        co_await ex.cores().acquire();
-        sim::SemaphoreGuard slot(ex.cores());
-        co_await cl.simulator().sleep(cl.spec().rates.task_overhead);
-        if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-          // The codec's gather pass emits the encoded segments directly,
-          // replacing the dense split pass.
-          co_await detail::comp_encode_pass(cl, job, algo, exec_id, rank,
-                                            spec, *local);
-        } else {
-          co_await cl.simulator().sleep(
-              cl.merge_cost(spec.base.bytes(*local)));
-        }
-        comm::SegOps<V> ops =
-            detail::make_seg_ops(cl, job, algo, exec_id, rank, spec, local);
-        ops.concat = spec.concat_op;
-        V full = co_await comm::CollectiveRegistry<V>::instance().allreduce(
-            algo, sc, rank, ops);
-        if (!cl.executor_alive(exec_id)) {
-          throw comm::CollectiveFailed("executor died after allreduce");
-        }
-        // Sparse ring only: every rank densifies its replica — one codec
-        // scatter pass over the dense aggregator, attributed to the "comp"
-        // category.
-        if (algo == comm::AlgoId::kSparseRing && spec.encode_op) {
-          const std::uint64_t dense_bytes = spec.base.bytes(*local);
-          const obs::SpanId dec = cl.trace().begin(
-              "comp", "comp.decode", obs::exec_pid(exec_id), rank,
-              {{"job", job}, {"bytes", static_cast<std::int64_t>(dense_bytes)}});
-          co_await cl.simulator().sleep(cl.codec_cost(dense_bytes));
-          cl.trace().end(dec);
-        }
-        // Assembling the replica is one pass over it.
-        co_await cl.simulator().sleep(cl.merge_cost(spec.v_bytes(full)));
-        // Only a digest (loss/status) travels to the driver.
-        co_await cl.simulator().sleep(cl.control_latency(exec_id));
-        (void)cl.driver_loop().enqueue(sim::microseconds(20));
-        if (rank == 0) result = std::make_shared<V>(full);
-        if (result_key >= 0) {
-          auto& obj = ex.mutable_object(result_key, cl.simulator());
-          obj.value = std::make_shared<V>(std::move(full));
-        }
-      } catch (...) {
-        if (!error) error = std::current_exception();
-      }
-      wg.done();
+  detail::SplitOp<T, U, V> op{
+      "job.split_allreduce", "agg.jobs.allreduce", "stage.allreduce",
+      "allreduce stage exceeded max attempts; job aborted",
+      comm::CollectiveOp::kAllreduce, nullptr, nullptr};
+  // The lambda lives in `op`, inside split_job's frame, for as long as any
+  // rank body it starts: its capture outlives every coroutine using it.
+  op.rank_body = [result_key](detail::RankCtx<T, U, V>& r,
+                              detail::RankResults<V>& out) -> sim::Task<void> {
+    Cluster& cl = r.cl;
+    V full = co_await comm::CollectiveRegistry<V>::instance().allreduce(
+        r.algo, r.sc, r.rank, r.ops);
+    if (!cl.executor_alive(r.exec)) {
+      throw comm::CollectiveFailed("executor died after allreduce");
+    }
+    // Sparse ring only: every rank densifies its replica — one codec
+    // scatter pass over the dense aggregator, attributed to "comp".
+    if (r.encoded) {
+      const std::uint64_t dense_bytes = r.spec.base.bytes(*r.local);
+      const obs::SpanId dec = cl.trace().begin(
+          "comp", "comp.decode", obs::exec_pid(r.exec), r.rank,
+          {{"job", r.job}, {"bytes", static_cast<std::int64_t>(dense_bytes)}});
+      co_await cl.simulator().sleep(cl.codec_cost(dense_bytes));
+      cl.trace().end(dec);
+    }
+    // Assembling the replica is one pass over it.
+    co_await cl.simulator().sleep(cl.merge_cost(r.spec.v_bytes(full)));
+    // Only a digest (loss/status) travels to the driver.
+    co_await cl.simulator().sleep(cl.control_latency(r.exec));
+    (void)cl.driver_loop().enqueue(sim::microseconds(20));
+    if (r.rank == 0) out.replica = std::make_shared<V>(full);
+    if (result_key >= 0) {
+      cl.executor(r.exec).mutable_object(result_key, cl.simulator()).value =
+          std::make_shared<V>(std::move(full));
     }
   };
-
-  // Previous attempt's concrete algorithm (hysteresis on re-formation).
-  comm::AlgoId prev_algo = comm::AlgoId::kAuto;
-  for (int ring_attempt = 1;; ++ring_attempt) {
-    m->ring_stage_attempts = ring_attempt;
-    const Time attempt_start = cl.simulator().now();
-    bool attempt_failed = false;
-    // Resolved per attempt from the live membership (see split_aggregate).
-    comm::AlgoId algo = cl.config().collective_algo;
-    // Same failed-span / recovery-span contiguity contract as the ring
-    // stage of split_aggregate (obs::recovery_from_trace relies on it).
-    obs::TraceSink::Scope attempt_scope(
-        tr, tr.begin("stage", "stage.allreduce", obs::kDriverPid, 0,
-                     {{"job", job}, {"attempt", ring_attempt}}));
-    try {
-      co_await cl.simulator().sleep(cl.spec().rates.scheduler_delay);
-      // Shared stage boundary: membership sync, drained-partial migration,
-      // ring (re)formation, residual refold — one rank snapshot throughout
-      // (see split_aggregate / ring_boundary for why).
-      const detail::RingSnapshot ring = co_await detail::ring_boundary(
-          cl, rdd, spec, job, m, per_exec, owned, opt.ring);
-      const int n = ring.n;
-      algo = comm::retune_algo(
-          comm::CollectiveOp::kAllreduce, cl.config().collective_algo,
-          prev_algo,
-          cl.collective_cost_inputs(detail::aggregator_bytes(spec, per_exec),
-                                    n,
-                                    detail::aggregator_density(spec,
-                                                               per_exec)));
-      prev_algo = algo;
-      cl.metrics().add(std::string("agg.collective.") + comm::to_string(algo),
-                       1);
-      std::shared_ptr<V> result;  // fresh per attempt: rank 0 sets it.
-      std::exception_ptr error;
-      sim::WaitGroup wg(cl.simulator());
-      wg.add(n);
-      for (int r = 0; r < n; ++r) {
-        const int e = ring.rank_exec[static_cast<std::size_t>(r)];
-        auto localv = per_exec[static_cast<std::size_t>(e)];
-        if (!localv) localv = std::make_shared<U>(spec.base.zero);
-        cl.simulator().spawn(AllreduceTask::go(cl, job, *ring.sc, algo, e, r,
-                                               spec, std::move(localv), result,
-                                               result_key, wg, error));
-      }
-      co_await wg.wait();
-      if (error) std::rethrow_exception(error);
-      m->end = cl.simulator().now();
-      attempt_scope.close({{"algo", static_cast<std::int64_t>(algo)}});
-      tr.span_at("phase", "agg_compute", obs::kDriverPid, 0, m->start,
-                 m->compute_done, {{"job", job}});
-      tr.span_at("phase", "agg_reduce", obs::kDriverPid, 0, m->compute_done,
-                 m->end, {{"job", job}});
-      job_scope.close();
-      co_await spec_attempts.wait();
-      co_return std::move(*result);
-    } catch (const comm::CollectiveFailed&) {
-      cl.ring_invalidate(opt.ring);
-      attempt_scope.close(
-          {{"failed", 1}, {"algo", static_cast<std::int64_t>(algo)}});
-      attempt_failed = true;
-    }
-    if (attempt_failed) {
-      if (m) ++m->stage_restarts;
-      if (ring_attempt >= cl.config().max_stage_attempts) {
-        co_await spec_attempts.wait();
-        throw std::runtime_error(
-            "allreduce stage exceeded max attempts; job aborted");
-      }
-      // Same shared overlap path as split_aggregate: settle + backoff, with
-      // eager refold running underneath when overlap_recovery is on.
-      co_await detail::recover_between_attempts(cl, rdd, spec, job,
-                                                ring_attempt, m, per_exec,
-                                                owned);
-      m->recovery_time += cl.simulator().now() - attempt_start;
-    }
-  }
+  op.finish = [](Cluster&, const SplitAggSpec<T, U, V>&, int, bool,
+                 std::uint64_t, detail::RankResults<V>& out) -> sim::Task<V> {
+    co_return std::move(*out.replica);
+  };
+  return detail::split_job(cl, rdd, spec, metrics, opt, std::move(op));
 }
 
 }  // namespace sparker::engine

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "engine/config.hpp"
 #include "engine/rdd.hpp"
 #include "net/cluster.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace sparker::engine {
@@ -428,6 +430,238 @@ TEST(Determinism, RepeatedRunsGiveIdenticalTimings) {
   EXPECT_EQ(a.start, b.start);
   EXPECT_EQ(a.compute_done, b.compute_done);
   EXPECT_EQ(a.end, b.end);
+}
+
+// ---- Placement follows the health view -------------------------------------
+
+// An executor dead from t=0 (heartbeats off, so the driver knows at once)
+// is never a task's home: its plain-stage tasks run elsewhere and report
+// from there, and no combine round lands on it. Either slip sends the driver
+// to fetch a result from the dead executor.
+TEST(TreeAggregate, DeadExecutorHostsNoResultOrCombine) {
+  EngineConfig cfg;
+  cfg.agg_mode = AggMode::kTree;
+  cfg.trace.enabled = true;
+  cfg.fault_schedule.kill_executor(0, 1);
+  Simulator sim;
+  Cluster cl(sim, small_spec(), cfg);
+  ASSERT_EQ(cl.num_executors(), 4);
+  CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(10));
+  const auto spec = sum_spec(8);
+  const Vec want = sequential_reference(rdd, spec);
+  auto job = [&]() -> Task<Vec> {
+    co_return co_await tree_aggregate(cl, rdd, spec);
+  };
+  EXPECT_EQ(sim.run_task(job()), want);
+
+  const int dead = obs::exec_pid(1);
+  std::vector<int> task_pid(8, -1);
+  for (const obs::TraceEvent& ev : cl.trace().events()) {
+    if (ev.kind == obs::EventKind::kSpan && std::strcmp(ev.name, "task") == 0 &&
+        !ev.has_arg("failed")) {
+      task_pid.at(static_cast<std::size_t>(ev.tid)) = ev.pid;
+    }
+  }
+  int ser_spans = 0, combines = 0;
+  for (const obs::TraceEvent& ev : cl.trace().events()) {
+    if (ev.kind != obs::EventKind::kSpan) continue;
+    if (std::strcmp(ev.name, "ser.result") == 0) {
+      ++ser_spans;
+      EXPECT_EQ(ev.pid, task_pid.at(static_cast<std::size_t>(ev.tid)))
+          << "task " << ev.tid;
+    }
+    if (std::strcmp(ev.cat, "fetch") == 0 ||
+        std::strcmp(ev.name, "reduce.driver") == 0) {
+      EXPECT_NE(ev.arg("from", -1), 1) << ev.name;
+    }
+    if (std::strcmp(ev.name, "task.combine") == 0) {
+      ++combines;
+      EXPECT_NE(ev.pid, dead);
+    }
+  }
+  EXPECT_EQ(ser_spans, 8);
+  EXPECT_GT(combines, 0);
+}
+
+// With every executor dead, placement itself fails. Under speculation the
+// task runs as a race on both stage policies, and the error must still
+// abort the job instead of escaping a detached task.
+TEST(TreeAggregate, NoUsableExecutorAbortsJobUnderSpeculation) {
+  for (const AggMode mode : {AggMode::kTree, AggMode::kTreeImm}) {
+    EngineConfig cfg;
+    cfg.agg_mode = mode;
+    cfg.health.speculation = true;
+    for (int e = 0; e < 4; ++e) cfg.fault_schedule.kill_executor(0, e);
+    Simulator sim;
+    Cluster cl(sim, small_spec(), cfg);
+    CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(4));
+    const auto spec = sum_spec(4);
+    auto job = [&]() -> Task<Vec> {
+      co_return co_await tree_aggregate(cl, rdd, spec);
+    };
+    EXPECT_THROW(sim.run_task(job()), std::runtime_error) << to_string(mode);
+  }
+}
+
+// ---- Pinned stage behaviour ------------------------------------------------
+//
+// Golden timings, counters and kernel event counts for every aggregation
+// path under the fault and health features the compute and ring stages
+// implement. A change to how those stages schedule work is likely to move
+// at least one of these numbers; a pure restructuring of the stage code
+// moves none.
+
+enum class PinPath { kTree, kTreeImm, kSplit, kAllreduce };
+enum class PinCase {
+  kClean,
+  kTaskFailure,      // task 3's first attempt fails
+  kKillMidRing,      // executor 2 dies 80% into the fault-free ring stage
+  kKillMidRingOverlap,
+  kStraggler,        // executor 1 runs 4x slower, speculation on
+  kDecommission,     // executor 3 drains between two jobs; pins the 2nd
+};
+
+struct PinGolden {
+  PinPath path;
+  PinCase scenario;
+  sim::Time compute_done;
+  sim::Time end;
+  int task_retries;
+  int stage_restarts;
+  int ring_stage_attempts;
+  int speculative_launches;
+  int speculative_wins;
+  std::uint64_t events;
+};
+
+SplitAggSpec<std::int64_t, Vec, Vec> pin_spec() {
+  auto spec = split_sum_spec(64);
+  // ~4 MiB modeled aggregator so the ring stage spans real simulated time,
+  // and 5 ms per row so stragglers outlast the speculation interval.
+  spec.base.bytes = [](const Vec& v) { return v.size() * 8 * 8192; };
+  spec.v_bytes = spec.base.bytes;
+  spec.base.partition_cost = [](int, const std::vector<std::int64_t>& rows) {
+    return sim::milliseconds(5 * static_cast<std::int64_t>(rows.size()));
+  };
+  return spec;
+}
+
+PinGolden run_pin(PinPath path, PinCase scenario, sim::Time kill_at) {
+  EngineConfig cfg;
+  cfg.agg_mode = path == PinPath::kTree      ? AggMode::kTree
+                 : path == PinPath::kTreeImm ? AggMode::kTreeImm
+                                             : AggMode::kSplit;
+  cfg.sai_parallelism = 2;
+  cfg.collective_timeout = sim::milliseconds(400);
+  cfg.stage_retry_backoff = sim::milliseconds(10);
+  switch (scenario) {
+    case PinCase::kClean:
+      break;
+    case PinCase::kTaskFailure:
+      cfg.faults.should_fail = [](const TaskId& id) {
+        return id.stage == 0 && id.task == 3 && id.attempt == 0;
+      };
+      break;
+    case PinCase::kKillMidRing:
+    case PinCase::kKillMidRingOverlap:
+      cfg.overlap_recovery = scenario == PinCase::kKillMidRingOverlap;
+      cfg.fault_schedule.kill_executor(kill_at, 2);
+      break;
+    case PinCase::kStraggler:
+      cfg.stragglers.slowdown[1] = 4.0;
+      cfg.health.speculation = true;
+      break;
+    case PinCase::kDecommission:
+      cfg.membership.decommission(sim::seconds(2), 3);
+      break;
+  }
+  Simulator sim;
+  Cluster cl(sim, small_spec(), cfg);
+  CachedRdd<std::int64_t> rdd(8, cl.num_executors(), row_gen(6));
+  const auto spec = pin_spec();
+  const Vec want = sequential_reference(rdd, spec.base);
+  const int jobs = scenario == PinCase::kDecommission ? 2 : 1;
+  AggMetrics m;
+  auto campaign = [&]() -> Task<void> {
+    for (int j = 0; j < jobs; ++j) {
+      if (j > 0) {
+        EXPECT_LT(m.end, sim::seconds(2)) << "job 1 must end before the drain";
+        co_await sim.sleep_until(sim::seconds(3));
+      }
+      Vec got;
+      if (path == PinPath::kSplit) {
+        got = co_await split_aggregate(cl, rdd, spec, &m);
+      } else if (path == PinPath::kAllreduce) {
+        got = co_await split_allreduce(cl, rdd, spec, &m);
+      } else {
+        got = co_await tree_aggregate(cl, rdd, spec.base, &m);
+      }
+      EXPECT_EQ(got, want);
+    }
+  };
+  sim.run_task(campaign());
+  return PinGolden{path,
+                   scenario,
+                   m.compute_done,
+                   m.end,
+                   m.task_retries,
+                   m.stage_restarts,
+                   m.ring_stage_attempts,
+                   m.speculative_launches,
+                   m.speculative_wins,
+                   sim.events_processed()};
+}
+
+// Plain tree under a decommission is left out on purpose: its placement
+// follows the health view (see DeadExecutorHostsNoResultOrCombine), which
+// moves a drained executor's results and combine tasks.
+const PinGolden kPinGoldens[] = {
+    // clang-format off
+    // path, scenario, compute_done, end, task_retries, stage_restarts,
+    // ring_stage_attempts, speculative_launches, speculative_wins, events
+    {PinPath::kTree,      PinCase::kClean,               166319253,  436163173, 0, 0, 0, 0, 0,  260},
+    {PinPath::kTree,      PinCase::kTaskFailure,         184981253,  454825173, 1, 0, 0, 0, 0,  264},
+    {PinPath::kTree,      PinCase::kStraggler,           222301253,  533388413, 0, 0, 0, 2, 2,  547},
+    {PinPath::kTreeImm,   PinCase::kClean,               164222101,  312608178, 0, 0, 0, 0, 0,  359},
+    {PinPath::kTreeImm,   PinCase::kTaskFailure,         228464202,  376850279, 0, 1, 0, 0, 0,  414},
+    {PinPath::kTreeImm,   PinCase::kStraggler,           220204101,  358803470, 0, 0, 0, 2, 2,  235},
+    {PinPath::kTreeImm,   PinCase::kDecommission,       3178704101, 3317303470, 0, 0, 0, 0, 0,  577},
+    {PinPath::kSplit,     PinCase::kClean,               164222101,  302881145, 0, 0, 1, 0, 0,  422},
+    {PinPath::kSplit,     PinCase::kTaskFailure,         228464202,  367123246, 0, 1, 1, 0, 0,  477},
+    {PinPath::kSplit,     PinCase::kKillMidRing,         164222101,  915408031, 0, 1, 2, 0, 0,  701},
+    {PinPath::kSplit,     PinCase::kKillMidRingOverlap,  164222101,  905408031, 0, 1, 2, 0, 0,  704},
+    {PinPath::kSplit,     PinCase::kStraggler,           220204101,  358863145, 0, 0, 1, 2, 2,  438},
+    {PinPath::kSplit,     PinCase::kDecommission,       3178704101, 3319429455, 0, 0, 1, 0, 0,  825},
+    {PinPath::kAllreduce, PinCase::kClean,               164222101,  307995537, 0, 0, 1, 0, 0,  729},
+    {PinPath::kAllreduce, PinCase::kTaskFailure,         228464202,  372237638, 0, 1, 1, 0, 0,  784},
+    {PinPath::kAllreduce, PinCase::kKillMidRing,         164222101,  918461420, 0, 1, 2, 0, 0,  932},
+    {PinPath::kAllreduce, PinCase::kKillMidRingOverlap,  164222101,  908461420, 0, 1, 2, 0, 0,  935},
+    {PinPath::kAllreduce, PinCase::kStraggler,           220204101,  363977537, 0, 0, 1, 2, 2,  745},
+    {PinPath::kAllreduce, PinCase::kDecommission,       3178704101, 3318301531, 0, 0, 1, 0, 0, 1305},
+    // clang-format on
+};
+
+TEST(StagePin, TimingsCountersAndEventsMatchGoldens) {
+  for (const PinGolden& g : kPinGoldens) {
+    sim::Time kill_at = 0;
+    if (g.scenario == PinCase::kKillMidRing ||
+        g.scenario == PinCase::kKillMidRingOverlap) {
+      const PinGolden clean = run_pin(g.path, PinCase::kClean, 0);
+      kill_at = clean.compute_done + (clean.end - clean.compute_done) * 4 / 5;
+    }
+    const PinGolden got = run_pin(g.path, g.scenario, kill_at);
+    SCOPED_TRACE(::testing::Message()
+                 << "path " << static_cast<int>(g.path) << " scenario "
+                 << static_cast<int>(g.scenario));
+    EXPECT_EQ(got.compute_done, g.compute_done);
+    EXPECT_EQ(got.end, g.end);
+    EXPECT_EQ(got.task_retries, g.task_retries);
+    EXPECT_EQ(got.stage_restarts, g.stage_restarts);
+    EXPECT_EQ(got.ring_stage_attempts, g.ring_stage_attempts);
+    EXPECT_EQ(got.speculative_launches, g.speculative_launches);
+    EXPECT_EQ(got.speculative_wins, g.speculative_wins);
+    EXPECT_EQ(got.events, g.events);
+  }
 }
 
 }  // namespace
